@@ -15,11 +15,20 @@ so utilization is exactly 1/c_job: throughput per job and array area trade
 off directly. A non-divisible tail group is padded up to c_job columns
 (rows likewise), which keeps per-job timing uniform.
 
-The job stream is the streamer's view of a layer: per job, a list of
-(offset, length) byte segments over the flat HWC activation buffer -- the
-virtual im2col. Receptive-field pixels that fall in the zero-padding border
-become zero-fill segments: the address generator skips them, so they cost
-no memory traffic and no port cycles, but they still occupy DAC rows.
+The streamer performs a virtual im2col over the flat HWC activation buffer:
+per job it fetches one contiguous slice per in-bounds receptive-field tap.
+Taps that fall in the zero-padding border are zero-fill: the address
+generator skips them, so they cost no memory traffic and no port cycles,
+but they still occupy DAC rows. Stream traffic therefore depends only on
+layer geometry, and `stream_geometry` gives it in closed form: with T the
+in-bounds taps summed over output pixels (the product of the per-axis
+sums) and P the output pixel count, group g fetches T slices of real_g
+bytes and writes P slices of out_g bytes, in P jobs per group.
+
+`job_stream` enumerates the same traffic as explicit (offset, length)
+segments per job. It exists only where bytes are pushed through a
+crossbar -- functional emulation in `verify` -- and as the test oracle for
+`stream_geometry`; the cycle model never builds one.
 """
 
 from __future__ import annotations
@@ -39,6 +48,9 @@ from .workload import (
     StandardConv,
     TensorShape,
     in_channels,
+    kernel_size,
+    layer_pad,
+    layer_stride,
     output_shape,
     params,
 )
@@ -124,21 +136,16 @@ def map_standard(conv: StandardConv | PointwiseConv,
     Raises SplitRequired when the region exceeds the given array bounds
     (by default the array is assumed sized to fit).
     """
-    if isinstance(conv, PointwiseConv):
-        k, c_in, c_out = 1, conv.c_in, conv.c_out
-        strategy = POINTWISE
-    else:
-        k, c_in, c_out = conv.k, conv.c_in, conv.c_out
-        strategy = STANDARD_IM2COL
-    rows = k * k * c_in
-    cols = c_out
+    k = kernel_size(conv)
+    rows = k * k * conv.c_in
+    cols = conv.c_out
     if max_rows is not None and rows > max_rows:
         raise SplitRequired(f"needs {rows} rows, array has {max_rows}")
     if max_cols is not None and cols > max_cols:
         raise SplitRequired(f"needs {cols} columns, array has {max_cols}")
     weights = rows * cols
     return CrossbarAllocation(
-        layer=conv, strategy=strategy,
+        layer=conv, strategy=default_strategy(conv),
         regions=(AllocatedRegion(Region(0, 0, rows, cols), 0),),
         rows_used=rows, cols_used=cols,
         weights_total=weights, weights_useful=weights,
@@ -191,7 +198,6 @@ def utilization(alloc: CrossbarAllocation) -> float:
 class Segment:
     offset: int        # byte offset into the flat HWC buffer
     length: int        # bytes
-    stride: int = 1
     zero_fill: bool = False  # padding border: no fetch, zero data
 
 
@@ -224,21 +230,26 @@ def job_stream(layer: LayerDescriptor, in_shape: TensorShape,
     emits its real slice plus a zero-fill pad so the DAC rows stay full.
     Group jobs are emitted group-major so each region is configured once.
     """
+    out = _stream_output_shape(layer, in_shape, strategy)
+    if isinstance(layer, DepthwiseConv):
+        jobs = _depthwise_jobs(layer, in_shape, out, strategy.c_job)
+    else:
+        jobs = _dense_jobs(in_shape, out, kernel_size(layer),
+                           layer_stride(layer), layer_pad(layer))
+    return JobStream(layer, strategy, in_shape, out, tuple(jobs))
+
+
+def _stream_output_shape(layer: LayerDescriptor, in_shape: TensorShape,
+                         strategy: MappingStrategy) -> TensorShape:
+    """Output shape of a streamed layer, after checking the stream's inputs."""
     if in_shape.layout is not Layout.HWC:
         raise LayoutMismatch(f"job streams require HWC input, got {in_shape.layout}")
     if in_shape.channels != in_channels(layer):
         raise ValueError("input shape does not match layer channels")
-    out = output_shape(layer, in_shape)
-    if isinstance(layer, DepthwiseConv):
-        if strategy.kind is not StrategyKind.DEPTHWISE_BLOCK:
-            raise ValueError("depthwise layer needs a depthwise_block strategy")
-        jobs = _depthwise_jobs(layer, in_shape, out, strategy.c_job)
-    else:
-        k = 1 if isinstance(layer, PointwiseConv) else layer.k
-        stride = 1 if isinstance(layer, PointwiseConv) else layer.stride
-        pad = 0 if isinstance(layer, PointwiseConv) else layer.pad
-        jobs = _dense_jobs(in_shape, out, k, stride, pad)
-    return JobStream(layer, strategy, in_shape, out, tuple(jobs))
+    if isinstance(layer, DepthwiseConv) \
+            and strategy.kind is not StrategyKind.DEPTHWISE_BLOCK:
+        raise ValueError("depthwise layer needs a depthwise_block strategy")
+    return output_shape(layer, in_shape)
 
 
 def _receptive_segments(in_shape: TensorShape, oy: int, ox: int,
@@ -295,12 +306,73 @@ def _depthwise_jobs(dw: DepthwiseConv, in_shape: TensorShape,
     return jobs
 
 
+@dataclass(frozen=True, slots=True)
+class StreamGeometry:
+    """Closed-form stream traffic of one layer, equal to its `job_stream`.
+
+    Every in-bounds tap of every output pixel fetches one slice per channel
+    group, and every output pixel writes one slice per group; zero-fill
+    taps and channel pads move nothing.
+    """
+
+    taps: int                     # T: in-bounds taps summed over output pixels
+    pixels: int                   # P: output pixels
+    slices_in: tuple[int, ...]    # real_g: bytes fetched per tap, per group
+    slices_out: tuple[int, ...]   # out_g: bytes written per pixel, per group
+
+    @property
+    def jobs(self) -> int:
+        return self.pixels * len(self.slices_in)
+
+    @property
+    def bytes_in(self) -> int:
+        return self.taps * sum(self.slices_in)
+
+    @property
+    def bytes_out(self) -> int:
+        return self.pixels * sum(self.slices_out)
+
+
+def stream_geometry(layer: LayerDescriptor, in_shape: TensorShape,
+                    strategy: MappingStrategy) -> StreamGeometry:
+    """Stream traffic of a layer from its geometry, without enumerating jobs.
+
+    Accepts and rejects exactly the arguments `job_stream` does. Dense
+    layers have one group (c_in in, c_out out); depthwise group g has
+    real_g = out_g = min(c_job, c - g * c_job).
+    """
+    out = _stream_output_shape(layer, in_shape, strategy)
+    k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
+    taps = (_axis_taps(in_shape.height, out.height, k, stride, pad)
+            * _axis_taps(in_shape.width, out.width, k, stride, pad))
+    if isinstance(layer, DepthwiseConv):
+        c_job = strategy.c_job
+        slices = tuple(min(c_job, layer.c - off)
+                       for off in range(0, layer.c, c_job))
+        slices_in = slices_out = slices
+    else:
+        slices_in, slices_out = (in_shape.channels,), (out.channels,)
+    return StreamGeometry(taps, out.height * out.width, slices_in, slices_out)
+
+
 def stream_bytes(stream: JobStream) -> tuple[int, int]:
-    """(streamed-in, streamed-out) bytes; zero-fill segments move no data."""
-    bytes_in = sum(s.length for job in stream.jobs for s in job.segments
-                   if not s.zero_fill)
-    bytes_out = sum(job.out_length for job in stream.jobs)
-    return bytes_in, bytes_out
+    """(streamed-in, streamed-out) bytes of an enumerated stream.
+
+    Read from the stream's geometry, not by walking its jobs. Kept for
+    callers that already hold a stream; the benchmark's per-layer metrics
+    name this function.
+    """
+    geo = stream_geometry(stream.layer, stream.in_shape, stream.strategy)
+    return geo.bytes_in, geo.bytes_out
+
+
+def _axis_taps(size: int, out_size: int, k: int, stride: int, pad: int) -> int:
+    """In-bounds filter taps along one axis, summed over output positions."""
+    total = 0
+    for o in range(out_size):
+        start = o * stride - pad
+        total += max(0, min(start + k, size) - max(start, 0))
+    return total
 
 
 def format_allocation(alloc: CrossbarAllocation) -> str:

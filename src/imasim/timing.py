@@ -9,6 +9,18 @@ default off):
   compute     ceil(t_array_ns * f / 1e9) cycles, fixed per array operation
   stream-out  ceil(output_bytes / (4 * n_store)) cycles
 
+Every real segment of a layer is one channel-group slice, so the totals
+have a closed form in the geometry of `mapper.stream_geometry`: with T the
+in-bounds taps summed over output pixels, P the output pixels and real_g /
+out_g the per-group slices,
+
+  stream-in   T * sum_g ceil(real_g / (4 * n_load))
+  stream-out  P * sum_g ceil(out_g / (4 * n_store))
+  jobs        P * groups
+
+The cycle model uses only this form; enumerated job streams exist for
+functional emulation and as the test oracle.
+
 Jobs of a layer run back-to-back with a small per-job trigger/handshake,
 and one configuration burst is charged per layer (multiple jobs pipeline
 behind a single register-file setup). Handshake cycles are reported inside
@@ -31,8 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .workload import (
     BottleneckDescriptor,
@@ -82,6 +92,12 @@ class ClusterConfig:
     contention_factor: float = 1.0
 
     def __post_init__(self):
+        # the model divides by each of these
+        for name in ("n_cores", "simd_macs_per_core_cycle",
+                     "marshal_bytes_per_cycle", "f_hz"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not (0 < self.eta_conv <= 1 and 0 < self.eta_dw <= 1):
             raise ValueError("utilization factors must be in (0, 1]")
         if self.contention_factor < 1.0:
@@ -101,6 +117,10 @@ class ImaTiming:
     def __post_init__(self):
         if self.t_array_ns <= 0:
             raise ValueError("array operation time must be positive")
+        for name in ("cfg_overhead_cycles", "job_handshake_cycles"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,31 +187,16 @@ def _scale_contention(cycles: int, cluster: ClusterConfig) -> int:
     return math.ceil(cycles * cluster.contention_factor)
 
 
-def _stream_phase_totals(stream: JobStream, ports: PortConfig) -> tuple[int, int]:
-    """(streamin, streamout) cycle totals over all jobs, vectorized."""
-    lengths = np.array([s.length for job in stream.jobs for s in job.segments
-                        if not s.zero_fill], dtype=np.int64)
-    beat_in = PORT_WIDTH_BYTES * ports.n_load
-    si = int(np.sum((lengths + beat_in - 1) // beat_in)) if lengths.size else 0
-    outs = np.array([job.out_length for job in stream.jobs], dtype=np.int64)
-    beat_out = PORT_WIDTH_BYTES * ports.n_store
-    so = int(np.sum((outs + beat_out - 1) // beat_out))
-    return si, so
-
-
 def layer_cycles_ima(layer: LayerDescriptor, strategy: MappingStrategy,
                      in_shape: TensorShape, ports: PortConfig,
                      ima: ImaTiming, cluster: ClusterConfig) -> PhaseBreakdown:
-    """Accelerator phase breakdown of one full layer."""
-    stream = mapper.job_stream(layer, in_shape, strategy)
-    return stream_cycles_ima(stream, ports, ima, cluster)
-
-
-def stream_cycles_ima(stream: JobStream, ports: PortConfig,
-                      ima: ImaTiming, cluster: ClusterConfig) -> PhaseBreakdown:
-    """Phase breakdown of a prebuilt job stream (lets sweeps reuse streams)."""
-    n_jobs = len(stream.jobs)
-    si, so = _stream_phase_totals(stream, ports)
+    """Accelerator phase breakdown of one full layer, from its geometry."""
+    geo = mapper.stream_geometry(layer, in_shape, strategy)
+    n_jobs = geo.jobs
+    beat_in = PORT_WIDTH_BYTES * ports.n_load
+    beat_out = PORT_WIDTH_BYTES * ports.n_store
+    si = geo.taps * sum(_ceil_div(r, beat_in) for r in geo.slices_in)
+    so = geo.pixels * sum(_ceil_div(o, beat_out) for o in geo.slices_out)
     si = _scale_contention(si, cluster)
     so = _scale_contention(so, cluster)
     comp = n_jobs * compute_cycles(ima, cluster.f_hz)
@@ -200,6 +205,15 @@ def stream_cycles_ima(stream: JobStream, ports: PortConfig,
         si = max(0, si - comp)
     cfg = ima.cfg_overhead_cycles + n_jobs * ima.job_handshake_cycles
     return PhaseBreakdown(streamin=si, compute=comp, streamout=so, config=cfg)
+
+
+def stream_cycles_ima(stream: JobStream, ports: PortConfig,
+                      ima: ImaTiming, cluster: ClusterConfig) -> PhaseBreakdown:
+    """`layer_cycles_ima` of an enumerated stream's layer; its jobs are not
+    walked. Kept for callers that already hold a stream; the benchmark's
+    per-layer metrics name this function."""
+    return layer_cycles_ima(stream.layer, stream.strategy, stream.in_shape,
+                            ports, ima, cluster)
 
 
 def layer_cycles_sw(layer: LayerDescriptor, in_shape: TensorShape,
@@ -305,12 +319,12 @@ def bottleneck_schedule(b: BottleneckDescriptor, plan: Plan, ports: PortConfig,
         if strategy is None:
             entries.append((name, layer_cycles_sw(layer, shape, cluster)))
         else:
-            stream = mapper.job_stream(layer, shape, strategy)
-            entries.append((name, stream_cycles_ima(stream, ports, ima, cluster)))
-            bi, bo = mapper.stream_bytes(stream)
-            bytes_in += bi
-            bytes_out += bo
-            n_jobs += len(stream.jobs)
+            entries.append((name, layer_cycles_ima(layer, strategy, shape,
+                                                   ports, ima, cluster)))
+            geo = mapper.stream_geometry(layer, shape, strategy)
+            bytes_in += geo.bytes_in
+            bytes_out += geo.bytes_out
+            n_jobs += geo.jobs
         total_macs += macs(layer, shape)
         shape = output_shape(layer, shape)
     if b.residual:

@@ -27,6 +27,9 @@ from .workload import (
     StandardConv,
     TensorShape,
     in_channels,
+    kernel_size,
+    layer_pad,
+    layer_stride,
     output_shape,
 )
 from .xbar import (
@@ -73,9 +76,7 @@ def reference_conv(layer: LayerDescriptor, inp: QuantTensor, weights,
         raise ValueError("weights outside the 4-bit signed range")
     out_shape = output_shape(layer, inp.shape)
     x = inp.data.astype(np.int64)
-    k = 1 if isinstance(layer, PointwiseConv) else layer.k
-    stride = 1 if isinstance(layer, PointwiseConv) else layer.stride
-    pad = 0 if isinstance(layer, PointwiseConv) else layer.pad
+    k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
     if k * k * in_channels(layer) * WEIGHT_MAX * 255 >= _ACC_BOUND:
         raise ValueError("accumulator bound exceeded for this layer size")
     h, wdt = inp.shape.height, inp.shape.width

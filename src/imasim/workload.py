@@ -39,8 +39,9 @@ class TensorShape:
     layout: Layout = Layout.HWC
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.channels < 1:
-            raise ValueError(f"tensor dimensions must be >= 1, got {self}")
+        _check_int("tensor height", self.height)
+        _check_int("tensor width", self.width)
+        _check_int("tensor channels", self.channels)
 
     @property
     def size_bytes(self) -> int:
@@ -57,7 +58,7 @@ class StandardConv:
     pad: int = 0
 
     def __post_init__(self):
-        _check_conv_fields(self.k, self.stride, self.c_in, self.c_out)
+        _check_conv_fields(self.k, self.stride, self.c_in, self.c_out, self.pad)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +69,7 @@ class DepthwiseConv:
     pad: int = 0
 
     def __post_init__(self):
-        _check_conv_fields(self.k, self.stride, self.c, self.c)
+        _check_conv_fields(self.k, self.stride, self.c, self.c, self.pad)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,13 +84,20 @@ class PointwiseConv:
 LayerDescriptor = Union[StandardConv, DepthwiseConv, PointwiseConv]
 
 
-def _check_conv_fields(k, stride, c_in, c_out):
-    if k < 1:
-        raise ValueError(f"filter size must be >= 1, got {k}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if c_in < 1 or c_out < 1:
-        raise ValueError(f"channel counts must be >= 1, got {c_in}/{c_out}")
+def _check_int(name: str, value, minimum: int = 1) -> None:
+    """Geometry is a non-bool integer (numpy integers too) of at least `minimum`."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_conv_fields(k, stride, c_in, c_out, pad=0):
+    _check_int("filter size", k)
+    _check_int("stride", stride)
+    _check_int("input channels", c_in)
+    _check_int("output channels", c_out)
+    _check_int("padding", pad, minimum=0)
 
 
 def in_channels(layer: LayerDescriptor) -> int:
@@ -168,8 +176,9 @@ class BottleneckDescriptor:
     width: int = 32
 
     def __post_init__(self):
-        if self.expansion < 1:
-            raise ValueError(f"expansion factor must be >= 1, got {self.expansion}")
+        _check_int("expansion factor", self.expansion)
+        _check_int("height", self.height)
+        _check_int("width", self.width)
         _check_conv_fields(3, self.stride, self.c_in, self.c_out)
 
     @property

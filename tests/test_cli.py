@@ -150,3 +150,37 @@ def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def assert_one_line_error(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("height", 32.5), ("width", True), ("c_in", "32"), ("stride", 1.0)])
+def test_non_integer_geometry_is_validation_error(capsys, tmp_path, field, value):
+    from imasim import workload as wl
+    d = wl.bottleneck_to_dict(wl.default_bottleneck())
+    d[field] = value
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(d))
+    code, _, err = run(capsys, "simulate", "--workload-file", str(path))
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("override", [
+    "cluster.n_cores=0", "cluster.simd_macs_per_core_cycle=0",
+    "cluster.marshal_bytes_per_cycle=0", "cluster.f_hz=0"])
+def test_zero_cluster_divisor_is_validation_error(capsys, override):
+    code, _, err = run(capsys, "simulate", "--plan", "sw", "--set", override)
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("override", [
+    "ima.cfg_overhead_cycles=-5", "ima.job_handshake_cycles=-1"])
+def test_negative_ima_overhead_is_validation_error(capsys, override):
+    code, _, err = run(capsys, "simulate", "--plan", "ima16", "--set", override)
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)

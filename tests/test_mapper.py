@@ -150,18 +150,19 @@ class TestJobStream:
             assert sum(s.length for s in job.segments) == rows
 
     def test_layout_mismatch(self):
-        with pytest.raises(LayoutMismatch):
-            mapper.job_stream(PointwiseConv(4, 4),
-                              TensorShape(4, 4, 4, layout=Layout.CHW),
-                              mapper.POINTWISE)
+        for build in (mapper.job_stream, mapper.stream_geometry):
+            with pytest.raises(LayoutMismatch):
+                build(PointwiseConv(4, 4), TensorShape(4, 4, 4, layout=Layout.CHW),
+                      mapper.POINTWISE)
 
     def test_stream_bytes_excludes_zero_fill(self):
-        stream = mapper.job_stream(StandardConv(k=3, c_in=32, c_out=64, pad=1),
-                                   TensorShape(16, 16, 32),
-                                   mapper.STANDARD_IM2COL)
-        bytes_in, bytes_out = mapper.stream_bytes(stream)
-        assert bytes_in == 46 * 46 * 32
-        assert bytes_out == 256 * 64
+        geo = mapper.stream_geometry(StandardConv(k=3, c_in=32, c_out=64, pad=1),
+                                     TensorShape(16, 16, 32),
+                                     mapper.STANDARD_IM2COL)
+        assert geo.taps == 46 * 46  # in-bounds taps only, as above
+        assert geo.bytes_in == 46 * 46 * 32
+        assert geo.bytes_out == 256 * 64
+        assert geo.jobs == 256
 
 
 class TestWeightMatrices:

@@ -1,10 +1,13 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from imasim import mapper, timing
 from imasim.mapper import Segment, depthwise_block
 from imasim.timing import (
+    PORT_CHOICES,
     ClusterConfig,
     ImaTiming,
     PhaseBreakdown,
@@ -253,3 +256,94 @@ class TestModelKnobs:
             ClusterConfig(contention_factor=0.5)
         with pytest.raises(ValueError):
             ImaTiming(t_array_ns=0)
+        for field in ("n_cores", "simd_macs_per_core_cycle",
+                      "marshal_bytes_per_cycle", "f_hz"):
+            with pytest.raises(ValueError):
+                ClusterConfig(**{field: 0})
+        for field in ("cfg_overhead_cycles", "job_handshake_cycles"):
+            with pytest.raises(ValueError):
+                ImaTiming(**{field: -1})
+            ImaTiming(**{field: 0})  # zero overhead is allowed
+
+
+# --- closed form vs enumerated job streams ------------------------------------
+
+def enumerated_phases(stream, ports, ima, cluster) -> PhaseBreakdown:
+    """Oracle: fold an enumerated job stream job by job."""
+    si = sum(timing.streamin_cycles(job.segments, ports.n_load)
+             for job in stream.jobs)
+    so = sum(timing.streamout_cycles(job.out_length, ports.n_store)
+             for job in stream.jobs)
+    if cluster.contention_factor != 1.0:
+        si = math.ceil(si * cluster.contention_factor)
+        so = math.ceil(so * cluster.contention_factor)
+    n_jobs = len(stream.jobs)
+    comp = n_jobs * timing.compute_cycles(ima, cluster.f_hz)
+    if ima.overlap_streamin_compute:
+        si = max(0, si - comp)
+    return PhaseBreakdown(streamin=si, compute=comp, streamout=so,
+                          config=ima.cfg_overhead_cycles
+                          + n_jobs * ima.job_handshake_cycles)
+
+
+def random_geometry(rng: np.random.Generator, kind: str):
+    """(layer, strategy, in_shape) with padding, stride up to 3 and, for
+    depthwise, any c_job in [1, c] (so non-dividing tail groups occur)."""
+    if kind == "pointwise":
+        k, stride, pad = 1, 1, 0
+        layer = PointwiseConv(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+        strategy = mapper.POINTWISE
+    else:
+        k = int(rng.choice([1, 3, 5]))
+        stride = int(rng.integers(1, 4))
+        pad = int(rng.integers(0, k // 2 + 2))
+        if kind == "standard":
+            layer = StandardConv(k=k, c_in=int(rng.integers(1, 40)),
+                                 c_out=int(rng.integers(1, 40)),
+                                 stride=stride, pad=pad)
+            strategy = mapper.STANDARD_IM2COL
+        else:
+            c = int(rng.integers(1, 40))
+            layer = DepthwiseConv(k=k, c=c, stride=stride, pad=pad)
+            strategy = depthwise_block(int(rng.integers(1, c + 1)))
+    lo = max(1, k - 2 * pad)  # smallest input with a non-empty output
+    shape = TensorShape(int(rng.integers(lo, lo + 9)),
+                        int(rng.integers(lo, lo + 9)),
+                        layer.c if kind == "depthwise" else layer.c_in)
+    return layer, strategy, shape
+
+
+@pytest.mark.parametrize("kind", ["standard", "pointwise", "depthwise"])
+def test_closed_form_matches_enumerated_job_stream(cal, kind):
+    rng = np.random.default_rng(["standard", "pointwise", "depthwise"].index(kind))
+    knobs = [(dataclasses.replace(cal.ima, overlap_streamin_compute=overlap),
+              dataclasses.replace(cal.cluster, contention_factor=factor))
+             for overlap in (False, True) for factor in (1.0, 1.37)]
+    port_pairs = [PortConfig(a, b) for a in PORT_CHOICES for b in PORT_CHOICES]
+    for _ in range(40):
+        layer, strategy, shape = random_geometry(rng, kind)
+        stream = mapper.job_stream(layer, shape, strategy)
+        geo = mapper.stream_geometry(layer, shape, strategy)
+        case = f"{layer} {strategy} on {shape}"
+        assert geo.jobs == len(stream.jobs), case
+        assert geo.bytes_in == sum(s.length for job in stream.jobs
+                                   for s in job.segments if not s.zero_fill), case
+        assert geo.bytes_out == sum(job.out_length for job in stream.jobs), case
+        assert mapper.stream_bytes(stream) == (geo.bytes_in, geo.bytes_out)
+        for ports in port_pairs:
+            for ima, cluster in knobs:
+                got = timing.layer_cycles_ima(layer, strategy, shape, ports,
+                                              ima, cluster)
+                want = enumerated_phases(stream, ports, ima, cluster)
+                assert got == want, f"{case} at {ports}, {ima}, {cluster}"
+                assert timing.stream_cycles_ima(stream, ports, ima, cluster) == want
+
+
+def test_schedule_builds_no_job_streams(cal, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cycle model enumerated a job stream")
+
+    monkeypatch.setattr(mapper, "job_stream", forbidden)
+    for plan in Plan:
+        timing.bottleneck_schedule(default_bottleneck(), plan, PortConfig(4, 4),
+                                   cal.ima, cal.cluster)

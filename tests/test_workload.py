@@ -187,3 +187,15 @@ def test_invalid_descriptors_rejected():
         StandardConv(k=0, c_in=1, c_out=1)
     with pytest.raises(ValueError):
         DepthwiseConv(k=3, c=8, stride=0)
+    # geometry must be integral: non-integers and bools are rejected, not
+    # left to fail deep inside the model
+    for build in (lambda: TensorShape(32.0, 4, 4),
+                  lambda: TensorShape(4, True, 4),
+                  lambda: StandardConv(k=3.0, c_in=1, c_out=1),
+                  lambda: StandardConv(k=3, c_in=1, c_out=1, pad=-1),
+                  lambda: DepthwiseConv(k=3, c=8, pad=0.5),
+                  lambda: PointwiseConv(c_in="8", c_out=8),
+                  lambda: BottleneckDescriptor(32, 6, 32, height=32.5),
+                  lambda: BottleneckDescriptor(32, 6, 32, width=0)):
+        with pytest.raises(ValueError):
+            build()
