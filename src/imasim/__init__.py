@@ -40,6 +40,6 @@ from .workload import (
     output_shape,
     params,
 )
-from .xbar import AdcConfig, CrossbarConfig, ProgrammedArray, Region
+from .xbar import AdcConfig, ProgrammedArray, Region
 
 __version__ = "0.1.0"

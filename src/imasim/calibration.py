@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass
 from importlib import resources
 
 from .metrics import AreaModel, EnergyModel
 from .timing import ClusterConfig, ImaTiming
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,6 +38,18 @@ _SECTIONS = {
 }
 
 
+# Type of a value per field annotation; ranges are checked by each section's
+# __post_init__. JSON integers are valid floats, bools are valid only as bools.
+_TYPE_CHECKS = {
+    int: ("an integer",
+          lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number",
+            lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
 def calibration_from_dict(d: dict) -> Calibration:
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
@@ -47,6 +61,11 @@ def calibration_from_dict(d: dict) -> Calibration:
         unknown = set(given) - fields
         if unknown:
             raise ValueError(f"unknown {section} calibration keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for name, value in given.items():
+            what, ok = _TYPE_CHECKS[hints[name]]
+            if not ok(value):
+                raise ValueError(f"{section}.{name} must be {what}, got {value!r}")
         parts[section] = cls(**given)
     return Calibration(note=d.get("note", ""), **parts)
 

@@ -51,8 +51,10 @@ from .workload import (
     kernel_size,
     layer_pad,
     layer_stride,
+    out_channels,
     output_shape,
     params,
+    weight_shape,
 )
 from .xbar import DEVICES_PER_WEIGHT, Region
 
@@ -395,30 +397,19 @@ def region_weight_matrix(alloc: CrossbarAllocation, weights,
                          region_index: int = 0) -> np.ndarray:
     """Integer weight block for one allocated region.
 
-    Canonical weight layouts:
-      standard:  (k, k, c_in, c_out)
-      pointwise: (c_in, c_out)
-      depthwise: (k, k, c)
-
-    Rows follow the streamer order (receptive-field pixel major, channel
-    minor); depthwise blocks put channel m of the group on column m and
-    structural zeros elsewhere.
+    `weights` has the canonical layout of `workload.weight_shape`. Rows
+    follow the streamer order (receptive-field pixel major, channel minor);
+    depthwise blocks put channel m of the group on column m and structural
+    zeros elsewhere.
     """
     layer = alloc.layer
     w = np.asarray(weights, dtype=np.int64)
-    if isinstance(layer, PointwiseConv):
-        if w.shape != (layer.c_in, layer.c_out):
-            raise ValueError(f"pointwise weights must be (c_in, c_out), got {w.shape}")
-        return w
-    if isinstance(layer, StandardConv):
-        expect = (layer.k, layer.k, layer.c_in, layer.c_out)
-        if w.shape != expect:
-            raise ValueError(f"standard weights must be {expect}, got {w.shape}")
-        return w.reshape(layer.k * layer.k * layer.c_in, layer.c_out)
-    # depthwise block-diagonal group
-    expect = (layer.k, layer.k, layer.c)
+    expect = weight_shape(layer)
     if w.shape != expect:
-        raise ValueError(f"depthwise weights must be {expect}, got {w.shape}")
+        raise ValueError(f"weights must be {expect}, got {w.shape}")
+    if not isinstance(layer, DepthwiseConv):
+        return w.reshape(-1, out_channels(layer))
+    # depthwise block-diagonal group
     c_job = alloc.strategy.c_job
     ch_off = region_index * c_job
     real = min(c_job, layer.c - ch_off)

@@ -1,9 +1,9 @@
 """Throughput, energy-efficiency and area-efficiency models.
 
-Area: each crossbar cell holds a differential pair, so PCM area is
-weights_total * 2 * 18.2 um^2 summed over the claimed allocations,
-padding included. The full-area variant adds the digital cluster and
-accelerator periphery.
+Area: PCM area is the devices claimed (`CrossbarAllocation.devices_total`,
+padding included) times 18.2 um^2 each; every crossbar cell is a
+differential pair of `xbar.DEVICES_PER_WEIGHT` devices. The full-area
+variant adds the digital cluster and accelerator periphery.
 
 Energy: streamed bytes and array operations carry fixed per-unit dynamic
 costs; the cores burn an active power while software phases run and an
@@ -35,7 +35,6 @@ UM2_PER_MM2 = 1e6
 @dataclass(frozen=True, slots=True)
 class AreaModel:
     pcm_device_um2: float = 18.2
-    devices_per_weight: int = 2
     cluster_mm2: float = 0.2228       # calibrated, not measured
     ima_periphery_mm2: float = 0.0    # calibrated, not measured
 
@@ -65,8 +64,8 @@ class EnergyModel:
 
 def pcm_area_mm2(allocations: Iterable[CrossbarAllocation],
                  model: AreaModel) -> float:
-    cells = sum(a.weights_total for a in allocations)
-    return cells * model.devices_per_weight * model.pcm_device_um2 / UM2_PER_MM2
+    devices = sum(a.devices_total for a in allocations)
+    return devices * model.pcm_device_um2 / UM2_PER_MM2
 
 
 def area(allocations: Iterable[CrossbarAllocation], model: AreaModel,

@@ -33,9 +33,10 @@ for depthwise. A software depthwise additionally pays an HWC->CHW->HWC
 marshalling pass (2 * h * w * c bytes at marshal_bytes_per_cycle); the
 accelerator consumes HWC directly and never marshals.
 
-The TCDM is modeled as an ideal word-interleaved scratchpad (segments are
-contiguous and ports never exceed banks); `contention_factor` scales the
-stream phases for sensitivity studies and defaults to 1.0.
+The TCDM is modeled as an ideal word-interleaved scratchpad: segments are
+contiguous, every port moves one 4-byte word per cycle and no port ever
+waits on a bank conflict. `contention_factor` scales the stream phases for
+sensitivity studies and defaults to 1.0.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ class PortConfig:
     def __post_init__(self):
         if self.n_load not in PORT_CHOICES or self.n_store not in PORT_CHOICES:
             raise ValueError(f"port counts must be one of {PORT_CHOICES}")
-        if self.n_load + self.n_store > 2 * 16:
-            raise ValueError("total ports exceed the bank count bound")
 
     @property
     def total(self) -> int:
@@ -83,8 +82,6 @@ class PortConfig:
 class ClusterConfig:
     n_cores: int = 8
     f_hz: int = 250_000_000
-    n_banks: int = 16
-    bank_width: int = 4
     simd_macs_per_core_cycle: int = 4
     eta_conv: float = 0.55   # SIMD MAC utilization, standard/pointwise
     eta_dw: float = 0.1305   # calibrated, not measured (see calibration file)
@@ -234,7 +231,8 @@ def layer_cycles_sw(layer: LayerDescriptor, in_shape: TensorShape,
 
 
 def residual_add_cycles(shape: TensorShape, cluster: ClusterConfig) -> int:
-    """Elementwise residual addition on the cores (one byte lane per core)."""
+    """Elementwise residual addition on the cores: each core adds four 8-bit
+    lanes (one 32-bit word) per cycle."""
     return _ceil_div(shape.size_bytes, cluster.n_cores * 4)
 
 
@@ -271,23 +269,18 @@ def plan_strategy(plan: Plan, layer: LayerDescriptor) -> MappingStrategy | None:
     """Strategy a plan assigns to a layer; None means software execution."""
     if plan is Plan.SW:
         return None
-    if isinstance(layer, DepthwiseConv):
-        c_job = _DW_CJOB.get(plan)
-        if c_job is None:  # HYBRID runs depthwise on the cores
-            return None
-        return mapper.depthwise_block(min(c_job, layer.c))
-    return mapper.default_strategy(layer)
+    if isinstance(layer, DepthwiseConv) and plan not in _DW_CJOB:
+        return None  # HYBRID runs depthwise on the cores
+    return mapper.default_strategy(layer, _DW_CJOB.get(plan))
 
 
 def plan_allocations(b: BottleneckDescriptor, plan: Plan) -> list[mapper.CrossbarAllocation]:
     """Crossbar allocations a plan claims for a bottleneck (for area models)."""
     allocs = []
-    shape = b.input_shape
     for layer in b.expand():
         strategy = plan_strategy(plan, layer)
         if strategy is not None:
             allocs.append(mapper.map_layer(layer, strategy))
-        shape = output_shape(layer, shape)
     return allocs
 
 

@@ -30,7 +30,9 @@ from .workload import (
     kernel_size,
     layer_pad,
     layer_stride,
+    out_channels,
     output_shape,
+    weight_shape,
 )
 from .xbar import (
     WEIGHT_MAX,
@@ -68,8 +70,8 @@ def reference_conv(layer: LayerDescriptor, inp: QuantTensor, weights,
                    adc: AdcConfig) -> QuantTensor:
     """Direct quantized convolution with exact wide accumulation.
 
-    Weight layouts match `mapper.region_weight_matrix`: standard
-    (k, k, c_in, c_out), pointwise (c_in, c_out), depthwise (k, k, c).
+    Weights have the canonical layout of `workload.weight_shape`, as in
+    `mapper.region_weight_matrix`.
     """
     w = np.asarray(weights, dtype=np.int64)
     if np.any(w < WEIGHT_MIN) or np.any(w > WEIGHT_MAX):
@@ -219,15 +221,9 @@ def random_case(rng: np.random.Generator):
     w = int(rng.integers(k, k + 5))
     c_in = in_channels(layer)
     data = rng.integers(0, 256, size=(h, w, c_in)).astype(np.uint8)
-    if isinstance(layer, PointwiseConv):
-        wshape = (layer.c_in, layer.c_out)
-    elif isinstance(layer, StandardConv):
-        wshape = (layer.k, layer.k, layer.c_in, layer.c_out)
-    else:
-        wshape = (layer.k, layer.k, layer.c)
-    weights = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1, size=wshape)
-    n_out = layer.c if isinstance(layer, DepthwiseConv) else layer.c_out
-    scales = tuple(float(rng.choice(scale_pool)) for _ in range(n_out))
+    weights = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1, size=weight_shape(layer))
+    scales = tuple(float(rng.choice(scale_pool))
+                   for _ in range(out_channels(layer)))
     return layer, strategy, quant_tensor(data), weights, AdcConfig(scales)
 
 

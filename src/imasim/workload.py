@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -124,6 +125,16 @@ def layer_pad(layer: LayerDescriptor) -> int:
     return 0 if isinstance(layer, PointwiseConv) else layer.pad
 
 
+def weight_shape(layer: LayerDescriptor) -> tuple[int, ...]:
+    """Canonical weight layout: standard (k, k, c_in, c_out), pointwise
+    (c_in, c_out), depthwise (k, k, c)."""
+    if isinstance(layer, PointwiseConv):
+        return (layer.c_in, layer.c_out)
+    if isinstance(layer, DepthwiseConv):
+        return (layer.k, layer.k, layer.c)
+    return (layer.k, layer.k, layer.c_in, layer.c_out)
+
+
 def output_shape(layer: LayerDescriptor, in_shape: TensorShape) -> TensorShape:
     """Output tensor shape of `layer` applied to `in_shape`.
 
@@ -147,21 +158,12 @@ def output_shape(layer: LayerDescriptor, in_shape: TensorShape) -> TensorShape:
 def macs(layer: LayerDescriptor, in_shape: TensorShape) -> int:
     """Multiply-accumulate count of one layer invocation (1 MAC = 2 OPs)."""
     out = output_shape(layer, in_shape)
-    pixels = out.height * out.width
-    if isinstance(layer, StandardConv):
-        return pixels * layer.c_out * layer.c_in * layer.k * layer.k
-    if isinstance(layer, DepthwiseConv):
-        return pixels * layer.c * layer.k * layer.k
-    return pixels * layer.c_out * layer.c_in
+    return out.height * out.width * params(layer)
 
 
 def params(layer: LayerDescriptor) -> int:
     """Weight count of one layer (biases are out of scope)."""
-    if isinstance(layer, StandardConv):
-        return layer.c_in * layer.c_out * layer.k * layer.k
-    if isinstance(layer, DepthwiseConv):
-        return layer.c * layer.k * layer.k
-    return layer.c_in * layer.c_out
+    return math.prod(weight_shape(layer))
 
 
 @dataclass(frozen=True, slots=True)

@@ -55,20 +55,6 @@ class DimensionMismatch(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class CrossbarConfig:
-    rows: int
-    cols: int
-    weight_bits: int = 4
-    input_bits: int = 8
-    output_bits: int = 8
-    devices_per_weight: int = DEVICES_PER_WEIGHT
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("array dimensions must be >= 1")
-
-
-@dataclass(frozen=True, slots=True)
 class Region:
     row_off: int
     col_off: int
@@ -142,12 +128,6 @@ class ProgrammedArray:
         self.mask = np.zeros((rows, cols), dtype=bool)
         self._program_noise = None  # lazily allocated float64 grid
         self._rng = np.random.default_rng(seed)
-
-    @classmethod
-    def from_config(cls, config: CrossbarConfig, noise_sigma: float = 0.0,
-                    program_sigma: float = 0.0, seed: int = 0) -> "ProgrammedArray":
-        return cls(config.rows, config.cols, noise_sigma=noise_sigma,
-                   program_sigma=program_sigma, seed=seed)
 
     @property
     def devices_used(self) -> int:

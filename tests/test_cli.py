@@ -93,9 +93,13 @@ def test_missing_calibration_file_is_io_error(capsys):
     assert code == EXIT_IO
 
 
-def test_bad_calibration_is_validation_error(capsys, tmp_path):
+@pytest.mark.parametrize("schema_version", [99, 1])
+def test_bad_calibration_is_validation_error(capsys, tmp_path, schema_version):
+    from imasim.calibration import calibration_to_dict, default_calibration
+    d = calibration_to_dict(default_calibration())
+    d["schema_version"] = schema_version  # 1 is the pre-cleanup key set
     path = tmp_path / "cal.json"
-    path.write_text(json.dumps({"schema_version": 99}))
+    path.write_text(json.dumps(d))
     assert run(capsys, "simulate", "--calibration", str(path))[0] == EXIT_VALIDATION
 
 
@@ -136,6 +140,10 @@ def test_set_rejects_malformed_overrides(capsys):
     assert run(capsys, "simulate", "--set", "motor.rpm=3")[0] == EXIT_VALIDATION
     assert run(capsys, "simulate", "--set", "cluster.bogus=1")[0] == \
         EXIT_VALIDATION
+    # knobs the model never read are gone, not silently accepted
+    for removed in ("cluster.n_banks=16", "cluster.bank_width=4",
+                    "area.devices_per_weight=2"):
+        assert run(capsys, "simulate", "--set", removed)[0] == EXIT_VALIDATION
 
 
 def test_allocation_tables_in_report(capsys):
@@ -171,7 +179,9 @@ def test_non_integer_geometry_is_validation_error(capsys, tmp_path, field, value
 
 @pytest.mark.parametrize("override", [
     "cluster.n_cores=0", "cluster.simd_macs_per_core_cycle=0",
-    "cluster.marshal_bytes_per_cycle=0", "cluster.f_hz=0"])
+    "cluster.marshal_bytes_per_cycle=0", "cluster.f_hz=0",
+    "cluster.contention_factor=1e400", "energy.p_core_idle_mw=NaN",
+    "cluster.n_cores=1.5", "cluster.f_hz=true"])
 def test_zero_cluster_divisor_is_validation_error(capsys, override):
     code, _, err = run(capsys, "simulate", "--plan", "sw", "--set", override)
     assert code == EXIT_VALIDATION
@@ -179,7 +189,9 @@ def test_zero_cluster_divisor_is_validation_error(capsys, override):
 
 
 @pytest.mark.parametrize("override", [
-    "ima.cfg_overhead_cycles=-5", "ima.job_handshake_cycles=-1"])
+    "ima.cfg_overhead_cycles=-5", "ima.job_handshake_cycles=-1",
+    "ima.t_array_ns=1e400", "ima.cfg_overhead_cycles=1.5",
+    "ima.overlap_streamin_compute=3"])
 def test_negative_ima_overhead_is_validation_error(capsys, override):
     code, _, err = run(capsys, "simulate", "--plan", "ima16", "--set", override)
     assert code == EXIT_VALIDATION

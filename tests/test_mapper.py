@@ -188,6 +188,24 @@ class TestWeightMatrices:
         assert m[0 * 3 + 1, 0] == w[0, 0, 1, 0]
         assert m[3 * 3 + 2, 1] == w[1, 1, 2, 1]
 
+    def test_pointwise_matrix_is_weights_unchanged(self):
+        layer = PointwiseConv(c_in=3, c_out=5)
+        alloc = mapper.map_layer(layer, mapper.POINTWISE)
+        w = np.arange(15).reshape(3, 5) % 16 - 8
+        m = mapper.region_weight_matrix(alloc, w)
+        assert m.shape == (3, 5)
+        assert np.array_equal(m, w)
+
+    @pytest.mark.parametrize("layer,strategy,bad_shape", [
+        (StandardConv(k=2, c_in=3, c_out=2), mapper.STANDARD_IM2COL, (12, 2)),
+        (PointwiseConv(c_in=3, c_out=2), mapper.POINTWISE, (2, 3)),
+        (DepthwiseConv(k=3, c=8), depthwise_block(4), (9, 8)),
+    ], ids=["standard", "pointwise", "depthwise"])
+    def test_misshaped_weights_rejected(self, layer, strategy, bad_shape):
+        alloc = mapper.map_layer(layer, strategy)
+        with pytest.raises(ValueError):
+            mapper.region_weight_matrix(alloc, np.zeros(bad_shape, dtype=int))
+
 
 def test_network_device_count_small():
     net = NetworkDescriptor(

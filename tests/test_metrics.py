@@ -55,6 +55,13 @@ class TestArea:
                      for p in (Plan.HYBRID, Plan.IMA8, Plan.IMA16)]
             assert areas[0] < areas[1] < areas[2]
 
+    @pytest.mark.parametrize("plan", [Plan.SW, Plan.IMA8, Plan.IMA16, Plan.HYBRID])
+    def test_pcm_area_is_mapper_device_count(self, plan):
+        allocs = timing.plan_allocations(default_bottleneck(), plan)
+        devices = sum(a.devices_total for a in allocs)
+        assert metrics.pcm_area_mm2(allocs, AREA) == \
+            devices * AREA.pcm_device_um2 / 1e6
+
     def test_area_increasing_in_weights(self):
         small = mapper.map_depthwise(DepthwiseConv(k=3, c=64), 8)
         large = mapper.map_depthwise(DepthwiseConv(k=3, c=64), 16)
@@ -147,6 +154,14 @@ def test_models_reject_negative_parameters():
         AreaModel(pcm_device_um2=-1)
     with pytest.raises(ValueError):
         EnergyModel(e_job_fixed_pj=-0.1)
+
+
+def test_shipped_calibration_matches_dataclass_defaults(cal):
+    # default.json and the dataclass defaults are two copies of one fact
+    assert cal.cluster == timing.ClusterConfig()
+    assert cal.ima == timing.ImaTiming()
+    assert cal.area == AreaModel()
+    assert cal.energy == EnergyModel()
 
 
 def test_calibrated_cluster_area_flagged(cal):

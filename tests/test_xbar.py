@@ -193,15 +193,6 @@ def test_adc_rejects_nonpositive_scale():
         AdcConfig((1.0, -2.0))
 
 
-def test_from_config_constructor():
-    from imasim.xbar import CrossbarConfig
-    cfg = CrossbarConfig(rows=288, cols=64)
-    arr = ProgrammedArray.from_config(cfg)
-    assert (arr.rows, arr.cols) == (288, 64)
-    assert cfg.weight_bits == 4 and cfg.input_bits == 8 and cfg.output_bits == 8
-    assert cfg.devices_per_weight == 2
-
-
 def test_format_allocation_text():
     from imasim import mapper
     from imasim.workload import DepthwiseConv
