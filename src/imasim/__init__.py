@@ -13,7 +13,7 @@ from .mapper import (
     network_device_count,
     utilization,
 )
-from .metrics import AreaModel, EnergyModel, MetricsReport, area, energy, report
+from .metrics import AreaModel, EnergyModel, MetricsReport, energy, report
 from .timing import (
     ClusterConfig,
     ImaTiming,

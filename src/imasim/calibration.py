@@ -51,6 +51,8 @@ _TYPE_CHECKS = {
 
 
 def calibration_from_dict(d: dict) -> Calibration:
+    if not isinstance(d, dict):
+        raise ValueError(f"calibration must be a JSON object, got {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported calibration schema_version {d.get('schema_version')!r}")
@@ -58,6 +60,8 @@ def calibration_from_dict(d: dict) -> Calibration:
     for section, cls in _SECTIONS.items():
         fields = {f.name for f in dataclasses.fields(cls)}
         given = d.get(section, {})
+        if not isinstance(given, dict):
+            raise ValueError(f"calibration {section} must be a JSON object")
         unknown = set(given) - fields
         if unknown:
             raise ValueError(f"unknown {section} calibration keys: {sorted(unknown)}")

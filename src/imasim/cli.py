@@ -88,17 +88,23 @@ def _apply_overrides(cal: Calibration, overrides: list[str]) -> Calibration:
         raise ValidationError(f"bad calibration override: {e}") from None
 
 
+def _load_workload_file(path: str, kind: str, cls):
+    """The workload JSON file at `path`, which must describe a `kind` (`cls`)."""
+    try:
+        wl = workload.load_workload(path)
+    except OSError as e:
+        raise OSError(f"cannot read workload file: {e}") from e
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValidationError(f"bad workload file: {e}") from None
+    if not isinstance(wl, cls):
+        raise ValidationError(f"workload file must describe a {kind}")
+    return wl
+
+
 def _load_bottleneck(args) -> workload.BottleneckDescriptor:
     if args.workload_file:
-        try:
-            wl = workload.load_workload(args.workload_file)
-        except OSError as e:
-            raise OSError(f"cannot read workload file: {e}") from e
-        except (ValueError, KeyError) as e:
-            raise ValidationError(f"bad workload file: {e}") from None
-        if not isinstance(wl, workload.BottleneckDescriptor):
-            raise ValidationError("workload file must describe a bottleneck")
-        return wl
+        return _load_workload_file(args.workload_file, "bottleneck",
+                                   workload.BottleneckDescriptor)
     if args.preset == "bottleneck":
         return workload.default_bottleneck()
     raise ValidationError(f"unknown preset {args.preset!r}")
@@ -198,16 +204,13 @@ def cmd_verify(args) -> int:
 
 def cmd_devices(args) -> int:
     if args.network_file:
-        try:
-            net = workload.load_workload(args.network_file)
-        except OSError as e:
-            raise OSError(f"cannot read network file: {e}") from e
-        except (ValueError, KeyError) as e:
-            raise ValidationError(f"bad network file: {e}") from None
-        if not isinstance(net, workload.NetworkDescriptor):
-            raise ValidationError("network file must describe a network")
+        net = _load_workload_file(args.network_file, "network",
+                                  workload.NetworkDescriptor)
     elif args.preset == "mobilenet_v2":
-        net = workload.mobilenet_v2_preset(args.width_multiplier)
+        try:
+            net = workload.mobilenet_v2_preset(args.width_multiplier)
+        except ValueError as e:
+            raise ValidationError(str(e)) from None
     else:
         raise ValidationError(f"unknown preset {args.preset!r}")
     if args.cjob == "full":

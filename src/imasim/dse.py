@@ -25,20 +25,12 @@ from .timing import PLAN_ORDER, Plan, PortConfig
 from .workload import BottleneckDescriptor
 
 DEFAULT_PORTS = tuple(PortConfig(n, n) for n in (1, 2, 4, 8, 16))
-DEFAULT_PLANS = PLAN_ORDER
 
 
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
     workload: BottleneckDescriptor
     calibration: Calibration
-    ports: tuple[PortConfig, ...] = DEFAULT_PORTS
-    plans: tuple[Plan, ...] = DEFAULT_PLANS
-    out_path: str | None = None
-
-    def __post_init__(self):
-        if not self.ports or not self.plans:
-            raise ValueError("sweep needs at least one port config and one plan")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,10 +71,10 @@ def evaluate_point(workload: BottleneckDescriptor, plan: Plan,
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every (plan, ports) point; row order is plan-major."""
+    """Evaluate PLAN_ORDER x DEFAULT_PORTS; row order is plan-major."""
     return [evaluate_point(spec.workload, plan, ports, spec.calibration)
-            for plan in spec.plans
-            for ports in spec.ports]
+            for plan in PLAN_ORDER
+            for ports in DEFAULT_PORTS]
 
 
 def best_by(rows: list[SweepRow], metric: str) -> SweepRow:
@@ -94,7 +86,7 @@ def best_by(rows: list[SweepRow], metric: str) -> SweepRow:
         raise ValueError("empty sweep table")
     if metric not in COLUMNS:
         raise ValueError(f"unknown metric {metric!r}")
-    plan_rank = {p.value: i for i, p in enumerate(DEFAULT_PLANS)}
+    plan_rank = {p.value: i for i, p in enumerate(PLAN_ORDER)}
     candidates = [r for r in rows if getattr(r, metric) is not None]
     if not candidates:
         raise ValueError(f"metric {metric!r} undefined on every row")
@@ -106,10 +98,6 @@ def best_by(rows: list[SweepRow], metric: str) -> SweepRow:
 
 def rows_to_dicts(rows: list[SweepRow]) -> list[dict]:
     return [{c: getattr(r, c) for c in COLUMNS} for r in rows]
-
-
-def rows_from_dicts(dicts: list[dict]) -> list[SweepRow]:
-    return [SweepRow(**d) for d in dicts]
 
 
 def _format_cell(value) -> str:

@@ -42,12 +42,10 @@ import numpy as np
 from .workload import (
     DepthwiseConv,
     LayerDescriptor,
-    Layout,
     NetworkDescriptor,
     PointwiseConv,
     StandardConv,
     TensorShape,
-    in_channels,
     kernel_size,
     layer_pad,
     layer_stride,
@@ -57,14 +55,6 @@ from .workload import (
     weight_shape,
 )
 from .xbar import DEVICES_PER_WEIGHT, Region
-
-
-class SplitRequired(ValueError):
-    """Layer does not fit a single crossbar; multi-array splits unsupported."""
-
-
-class LayoutMismatch(ValueError):
-    """Job streams require HWC activation buffers."""
 
 
 class StrategyKind(Enum):
@@ -104,21 +94,18 @@ def default_strategy(layer: LayerDescriptor,
 
 
 @dataclass(frozen=True, slots=True)
-class AllocatedRegion:
-    region: Region
-    group: int  # depthwise channel-group index; 0 for dense layers
-
-
-@dataclass(frozen=True, slots=True)
 class CrossbarAllocation:
     layer: LayerDescriptor
     strategy: MappingStrategy
-    regions: tuple[AllocatedRegion, ...]
+    regions: tuple[Region, ...]  # one per depthwise channel group; dense: one
     rows_used: int
     cols_used: int
     weights_total: int   # crossbar cells claimed, incl. structural zeros
     weights_useful: int  # cells holding real parameters
-    jobs_per_output_pixel: int
+
+    @property
+    def jobs_per_output_pixel(self) -> int:
+        return len(self.regions)
 
     @property
     def devices_total(self) -> int:
@@ -129,29 +116,21 @@ class CrossbarAllocation:
         return DEVICES_PER_WEIGHT * self.weights_useful
 
 
-def map_standard(conv: StandardConv | PointwiseConv,
-                 max_rows: int | None = None,
-                 max_cols: int | None = None) -> CrossbarAllocation:
+def map_standard(conv: StandardConv | PointwiseConv) -> CrossbarAllocation:
     """Dense mapping of a standard or pointwise convolution.
 
-    One region of k*k*c_in rows by c_out columns, one job per output pixel.
-    Raises SplitRequired when the region exceeds the given array bounds
-    (by default the array is assumed sized to fit).
+    One region of k*k*c_in rows by c_out columns, one job per output pixel;
+    the array is assumed sized to fit.
     """
     k = kernel_size(conv)
     rows = k * k * conv.c_in
     cols = conv.c_out
-    if max_rows is not None and rows > max_rows:
-        raise SplitRequired(f"needs {rows} rows, array has {max_rows}")
-    if max_cols is not None and cols > max_cols:
-        raise SplitRequired(f"needs {cols} columns, array has {max_cols}")
     weights = rows * cols
     return CrossbarAllocation(
         layer=conv, strategy=default_strategy(conv),
-        regions=(AllocatedRegion(Region(0, 0, rows, cols), 0),),
+        regions=(Region(0, 0, rows, cols),),
         rows_used=rows, cols_used=cols,
-        weights_total=weights, weights_useful=weights,
-        jobs_per_output_pixel=1)
+        weights_total=weights, weights_useful=weights)
 
 
 def map_depthwise(dw: DepthwiseConv, c_job: int) -> CrossbarAllocation:
@@ -165,29 +144,26 @@ def map_depthwise(dw: DepthwiseConv, c_job: int) -> CrossbarAllocation:
         raise ValueError(f"c_job must be in [1, {dw.c}], got {c_job}")
     groups = -(-dw.c // c_job)
     block_rows = dw.k * dw.k * c_job
-    regions = tuple(
-        AllocatedRegion(Region(g * block_rows, g * c_job, block_rows, c_job), g)
-        for g in range(groups))
+    regions = tuple(Region(g * block_rows, g * c_job, block_rows, c_job)
+                    for g in range(groups))
     weights_total = groups * block_rows * c_job  # k^2 * c * c_job when c_job | c
     return CrossbarAllocation(
         layer=dw, strategy=depthwise_block(c_job),
         regions=regions,
         rows_used=groups * block_rows, cols_used=groups * c_job,
         weights_total=weights_total,
-        weights_useful=dw.k * dw.k * dw.c,
-        jobs_per_output_pixel=groups)
+        weights_useful=dw.k * dw.k * dw.c)
 
 
-def map_layer(layer: LayerDescriptor, strategy: MappingStrategy,
-              max_rows: int | None = None,
-              max_cols: int | None = None) -> CrossbarAllocation:
+def map_layer(layer: LayerDescriptor,
+              strategy: MappingStrategy) -> CrossbarAllocation:
     if strategy.kind is StrategyKind.DEPTHWISE_BLOCK:
         if not isinstance(layer, DepthwiseConv):
             raise ValueError("depthwise strategy on a non-depthwise layer")
         return map_depthwise(layer, strategy.c_job)
     if isinstance(layer, DepthwiseConv):
         raise ValueError("depthwise layer needs a depthwise_block strategy")
-    return map_standard(layer, max_rows, max_cols)
+    return map_standard(layer)
 
 
 def utilization(alloc: CrossbarAllocation) -> float:
@@ -244,10 +220,6 @@ def job_stream(layer: LayerDescriptor, in_shape: TensorShape,
 def _stream_output_shape(layer: LayerDescriptor, in_shape: TensorShape,
                          strategy: MappingStrategy) -> TensorShape:
     """Output shape of a streamed layer, after checking the stream's inputs."""
-    if in_shape.layout is not Layout.HWC:
-        raise LayoutMismatch(f"job streams require HWC input, got {in_shape.layout}")
-    if in_shape.channels != in_channels(layer):
-        raise ValueError("input shape does not match layer channels")
     if isinstance(layer, DepthwiseConv) \
             and strategy.kind is not StrategyKind.DEPTHWISE_BLOCK:
         raise ValueError("depthwise layer needs a depthwise_block strategy")
@@ -380,9 +352,8 @@ def _axis_taps(size: int, out_size: int, k: int, stride: int, pad: int) -> int:
 def format_allocation(alloc: CrossbarAllocation) -> str:
     """Human-readable region table with cell counts and utilization."""
     lines = [f"{'region':>7} {'row_off':>8} {'col_off':>8} {'rows':>6} {'cols':>6}"]
-    for ar in alloc.regions:
-        r = ar.region
-        lines.append(f"{ar.group:>7} {r.row_off:>8} {r.col_off:>8} "
+    for i, r in enumerate(alloc.regions):
+        lines.append(f"{i:>7} {r.row_off:>8} {r.col_off:>8} "
                      f"{r.rows:>6} {r.cols:>6}")
     lines.append(f"cells: {alloc.weights_total} ({alloc.weights_useful} useful, "
                  f"utilization {utilization(alloc):.4f}), "

@@ -68,15 +68,6 @@ def pcm_area_mm2(allocations: Iterable[CrossbarAllocation],
     return devices * model.pcm_device_um2 / UM2_PER_MM2
 
 
-def area(allocations: Iterable[CrossbarAllocation], model: AreaModel,
-         include_cluster: bool = False) -> float:
-    """Silicon area in mm^2: PCM arrays, optionally plus cluster + periphery."""
-    total = pcm_area_mm2(allocations, model)
-    if include_cluster:
-        total += model.cluster_mm2 + model.ima_periphery_mm2
-    return total
-
-
 def energy(schedule: ScheduleResult, model: EnergyModel) -> float:
     """Total energy of a schedule in joules."""
     t_total = schedule.wall_time_s
@@ -122,13 +113,12 @@ def report(schedule: ScheduleResult,
            area_model: AreaModel,
            energy_model: EnergyModel) -> MetricsReport:
     """Combine a schedule with area/energy models into the headline metrics."""
-    allocations = list(allocations)
     ops = 2 * schedule.macs
     gops = ops * schedule.f_hz / (schedule.total_cycles * 1e9)
     joules = energy(schedule, energy_model)
     tops_per_w = ops / joules / 1e12 if joules > 0 else 0.0
     a_pcm = pcm_area_mm2(allocations, area_model)
-    a_full = area(allocations, area_model, include_cluster=True)
+    a_full = a_pcm + (area_model.cluster_mm2 + area_model.ima_periphery_mm2)
     return MetricsReport(
         gops=gops,
         tops_per_w=tops_per_w,

@@ -173,11 +173,6 @@ def array_op_cycles(t_array_ns: float, f_hz: int) -> int:
     return _ceil_div(int(t_array_ns * f_hz), 1_000_000_000)
 
 
-def compute_cycles(ima: ImaTiming, f_hz: int) -> int:
-    """Cycles of one analog array operation at the cluster clock."""
-    return array_op_cycles(ima.t_array_ns, f_hz)
-
-
 def _scale_contention(cycles: int, cluster: ClusterConfig) -> int:
     if cluster.contention_factor == 1.0:
         return cycles
@@ -196,7 +191,7 @@ def layer_cycles_ima(layer: LayerDescriptor, strategy: MappingStrategy,
     so = geo.pixels * sum(_ceil_div(o, beat_out) for o in geo.slices_out)
     si = _scale_contention(si, cluster)
     so = _scale_contention(so, cluster)
-    comp = n_jobs * compute_cycles(ima, cluster.f_hz)
+    comp = n_jobs * array_op_cycles(ima.t_array_ns, cluster.f_hz)
     if ima.overlap_streamin_compute:
         # idealized pipelining: stream-in hides behind compute where possible
         si = max(0, si - comp)

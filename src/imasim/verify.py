@@ -115,13 +115,13 @@ def program_allocation(alloc: CrossbarAllocation, weights, *,
     physical array per region so jobs drive exactly their region's rows.
     """
     arrays = []
-    for idx, ar in enumerate(alloc.regions):
+    for idx, region in enumerate(alloc.regions):
         block = mapper.region_weight_matrix(alloc, weights, idx)
-        arr = ProgrammedArray(ar.region.rows, ar.region.cols,
+        arr = ProgrammedArray(region.rows, region.cols,
                               noise_sigma=noise_sigma,
                               program_sigma=program_sigma,
                               seed=seed + idx)
-        arr.program(Region(0, 0, ar.region.rows, ar.region.cols), block)
+        arr.program(Region(0, 0, region.rows, region.cols), block)
         arrays.append(arr)
     return arrays
 

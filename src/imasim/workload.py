@@ -18,14 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, fields
 from typing import Union
-
-
-class Layout(Enum):
-    HWC = "hwc"
-    CHW = "chw"
 
 
 class ChannelMismatch(ValueError):
@@ -37,7 +31,6 @@ class TensorShape:
     height: int
     width: int
     channels: int
-    layout: Layout = Layout.HWC
 
     def __post_init__(self):
         _check_int("tensor height", self.height)
@@ -152,7 +145,7 @@ def output_shape(layer: LayerDescriptor, in_shape: TensorShape) -> TensorShape:
     w_out = (in_shape.width + 2 * p - k) // s + 1
     if h_out < 1 or w_out < 1:
         raise ValueError(f"layer {layer} produces empty output on {in_shape}")
-    return TensorShape(h_out, w_out, out_channels(layer), in_shape.layout)
+    return TensorShape(h_out, w_out, out_channels(layer))
 
 
 def macs(layer: LayerDescriptor, in_shape: TensorShape) -> int:
@@ -218,10 +211,6 @@ def bottleneck_macs(b: BottleneckDescriptor) -> int:
     return total
 
 
-def bottleneck_params(b: BottleneckDescriptor) -> int:
-    return sum(params(layer) for layer in b.expand())
-
-
 def default_bottleneck() -> BottleneckDescriptor:
     """Case-study block: 32 -> (x6) 192 -> 32 channels on a 32x32 feature map.
 
@@ -254,15 +243,6 @@ class NetworkDescriptor:
 
 def network_params(net: NetworkDescriptor) -> int:
     return sum(params(nl.layer) for nl in net.layers)
-
-
-def network_macs(net: NetworkDescriptor) -> int:
-    total = 0
-    shape = net.input_shape
-    for nl in net.layers:
-        total += macs(nl.layer, shape)
-        shape = output_shape(nl.layer, shape)
-    return total
 
 
 def validate_chain(net: NetworkDescriptor) -> TensorShape:
@@ -299,8 +279,7 @@ _MOBILENET_V2_TABLE = (
 )
 
 
-def mobilenet_v2_preset(width_multiplier: float = 1.0,
-                        resolution: int = 224) -> NetworkDescriptor:
+def mobilenet_v2_preset(width_multiplier: float = 1.0) -> NetworkDescriptor:
     """The standard 17-bottleneck MobileNetV2 convolutional backbone.
 
     Includes the 3x3 stem convolution and the final 1x1 head convolution
@@ -308,8 +287,10 @@ def mobilenet_v2_preset(width_multiplier: float = 1.0,
     are excluded. Channel counts are rounded to multiples of 8 when a
     non-unit width multiplier is applied.
     """
-    if width_multiplier <= 0:
-        raise ValueError("width multiplier must be positive")
+    # the largest scaled channel count, the head's 1280, must stay finite
+    if not (width_multiplier > 0 and math.isfinite(1280 * width_multiplier)):
+        raise ValueError("width multiplier must be positive and finite, "
+                         f"got {width_multiplier}")
 
     def scale(c: int) -> int:
         if width_multiplier == 1.0:
@@ -340,7 +321,7 @@ def mobilenet_v2_preset(width_multiplier: float = 1.0,
     head_out = 1280 if width_multiplier <= 1.0 else _make_divisible(1280 * width_multiplier)
     layers.append(NamedLayer("head", PointwiseConv(c_in=c_prev, c_out=head_out)))
     return NetworkDescriptor(f"mobilenet_v2-{width_multiplier}",
-                             TensorShape(resolution, resolution, 3),
+                             TensorShape(224, 224, 3),
                              tuple(layers))
 
 
@@ -353,8 +334,11 @@ def mobilenet_v2_preset(width_multiplier: float = 1.0,
 #   network:    {"schema_version": 1, "kind": "network", name,
 #                input_shape: {height, width, channels},
 #                layers: [{name, layer}]}
+# Every object must be a JSON object with no keys beyond these.
 
 SCHEMA_VERSION = 1
+_LAYER_TYPES = {"standard": StandardConv, "depthwise": DepthwiseConv,
+                "pointwise": PointwiseConv}
 
 
 def layer_to_dict(layer: LayerDescriptor) -> dict:
@@ -368,16 +352,15 @@ def layer_to_dict(layer: LayerDescriptor) -> dict:
 
 
 def layer_from_dict(d: dict) -> LayerDescriptor:
+    """Layer from its dict; omitted stride and pad default to 1 and 0."""
+    if not isinstance(d, dict):
+        raise ValueError(f"layer must be a JSON object, got {type(d).__name__}")
     kind = d.get("type")
-    if kind == "standard":
-        return StandardConv(k=d["k"], c_in=d["c_in"], c_out=d["c_out"],
-                            stride=d.get("stride", 1), pad=d.get("pad", 0))
-    if kind == "depthwise":
-        return DepthwiseConv(k=d["k"], c=d["c"],
-                             stride=d.get("stride", 1), pad=d.get("pad", 0))
-    if kind == "pointwise":
-        return PointwiseConv(c_in=d["c_in"], c_out=d["c_out"])
-    raise ValueError(f"unknown layer type {kind!r}")
+    if kind not in _LAYER_TYPES:
+        raise ValueError(f"unknown layer type {kind!r}")
+    cls = _LAYER_TYPES[kind]
+    _check_object(d, f"{kind} layer", ("type", *_field_names(cls)))
+    return cls(**{key: value for key, value in d.items() if key != "type"})
 
 
 def bottleneck_to_dict(b: BottleneckDescriptor) -> dict:
@@ -387,7 +370,7 @@ def bottleneck_to_dict(b: BottleneckDescriptor) -> dict:
 
 
 def bottleneck_from_dict(d: dict) -> BottleneckDescriptor:
-    _check_schema(d, "bottleneck")
+    _check_schema(d, "bottleneck", _field_names(BottleneckDescriptor))
     return BottleneckDescriptor(c_in=d["c_in"], expansion=d["expansion"],
                                 c_out=d["c_out"], stride=d.get("stride", 1),
                                 height=d["height"], width=d["width"])
@@ -407,17 +390,34 @@ def network_to_dict(net: NetworkDescriptor) -> dict:
 
 
 def network_from_dict(d: dict) -> NetworkDescriptor:
-    _check_schema(d, "network")
-    shape = d["input_shape"]
+    _check_schema(d, "network", ("name", "input_shape", "layers"))
+    shape = _check_object(d["input_shape"], "input_shape",
+                          _field_names(TensorShape))
+    entries = [_check_object(entry, "network layer entry", ("name", "layer"))
+               for entry in d["layers"]]
     return NetworkDescriptor(
-        d["name"],
-        TensorShape(shape["height"], shape["width"], shape["channels"]),
+        d["name"], TensorShape(**shape),
         tuple(NamedLayer(entry["name"], layer_from_dict(entry["layer"]))
-              for entry in d["layers"]),
+              for entry in entries),
     )
 
 
-def _check_schema(d: dict, kind: str):
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _check_object(d, what: str, keys: tuple[str, ...]) -> dict:
+    """`d`, after checking that it is a dict with no keys beyond `keys`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return d
+
+
+def _check_schema(d: dict, kind: str, keys: tuple[str, ...]):
+    _check_object(d, kind, ("schema_version", "kind", *keys))
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     if d.get("kind") != kind:
@@ -428,6 +428,8 @@ def load_workload(path: str) -> BottleneckDescriptor | NetworkDescriptor:
     """Load a bottleneck or network descriptor from a JSON file."""
     with open(path) as f:
         d = json.load(f)
+    if not isinstance(d, dict):
+        raise ValueError(f"workload must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == "bottleneck":
         return bottleneck_from_dict(d)

@@ -46,10 +46,6 @@ class RegionOverlap(ValueError):
     """A programming region overlaps previously programmed cells."""
 
 
-class OutOfBounds(IndexError):
-    """Cell coordinates outside the array."""
-
-
 class DimensionMismatch(ValueError):
     """Input vector length does not match the array row count."""
 
@@ -108,12 +104,12 @@ class AdcConfig:
 
 
 class ProgrammedArray:
-    """Integer-weight crossbar state with device accounting and optional noise.
+    """Integer-weight crossbar state, programmed-cell mask and optional noise.
 
     Weights are stored at (row j, col i): column i accumulates
     sum_j W[j, i] * x[j]. Programming a region marks its cells in the
     programmed mask; structural zeros inside a region count as programmed
-    devices (they are real, zero-conductance-pair devices).
+    (they are real, zero-conductance-pair devices).
     """
 
     def __init__(self, rows: int, cols: int, noise_sigma: float = 0.0,
@@ -128,10 +124,6 @@ class ProgrammedArray:
         self.mask = np.zeros((rows, cols), dtype=bool)
         self._program_noise = None  # lazily allocated float64 grid
         self._rng = np.random.default_rng(seed)
-
-    @property
-    def devices_used(self) -> int:
-        return DEVICES_PER_WEIGHT * int(self.mask.sum())
 
     def program(self, region: Region, weights) -> "ProgrammedArray":
         """Write an integer weight block into `region`.
@@ -164,12 +156,6 @@ class ProgrammedArray:
                 0.0, self.program_sigma, size=(region.rows, region.cols))
         return self
 
-    def read_conductance(self, row: int, col: int) -> int:
-        """Programmed integer weight at (row, col); 0 when unprogrammed."""
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise OutOfBounds(f"({row}, {col}) outside {self.rows}x{self.cols} array")
-        return int(self.weights[row, col])
-
     def mvm(self, x, adc: AdcConfig) -> np.ndarray:
         """One crossbar operation: y = requantize(W^T x). Returns int8[cols].
 
@@ -195,33 +181,3 @@ class ProgrammedArray:
                 w = w + read_noise
             acc = w.T @ xv.astype(np.float64)
         return adc.requantize(acc)
-
-    # --- textual snapshot format (test fixtures) -------------------------
-    #
-    #   rows <R> cols <C>
-    #   <R lines of C integers>      programmed weights
-    #   <R lines of C 0/1 flags>     programmed mask
-
-    def dump(self, fp) -> None:
-        fp.write(f"rows {self.rows} cols {self.cols}\n")
-        for r in range(self.rows):
-            fp.write(" ".join(str(int(v)) for v in self.weights[r]) + "\n")
-        for r in range(self.rows):
-            fp.write(" ".join("1" if v else "0" for v in self.mask[r]) + "\n")
-
-    @classmethod
-    def load(cls, fp) -> "ProgrammedArray":
-        header = fp.readline().split()
-        if len(header) != 4 or header[0] != "rows" or header[2] != "cols":
-            raise ValueError("malformed array snapshot header")
-        rows, cols = int(header[1]), int(header[3])
-        arr = cls(rows, cols)
-        for r in range(rows):
-            arr.weights[r] = [int(v) for v in fp.readline().split()]
-        for r in range(rows):
-            arr.mask[r] = [v == "1" for v in fp.readline().split()]
-        if np.any(arr.weights[~arr.mask] != 0):
-            raise ValueError("snapshot has nonzero weights outside the mask")
-        if np.any(arr.weights < WEIGHT_MIN) or np.any(arr.weights > WEIGHT_MAX):
-            raise WeightOutOfRange("snapshot weight outside 4-bit signed range")
-        return arr

@@ -1,8 +1,20 @@
+import hashlib
 import json
 
 import pytest
 
+from imasim import workload as wl
 from imasim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+
+# sha256 of the default `sweep` CSV and of `simulate --ports 4/4 --format json`
+SWEEP_CSV_SHA256 = \
+    "1f6f0c78ce145a92f878c13e3c9b418a41cde575bcf7abb49ef4342739236070"
+SIMULATE_JSON_SHA256 = {
+    "sw": "ebbbc11a345fd3047059c35b57e7681c4b8c11df90b6f9c3c9acfceacfae30dd",
+    "ima8": "afadb8baa1f77ca494511e5e6e6f61a4c47285f0a1c820c703012454ec60fe42",
+    "ima16": "e7ea25932153e402d67bdc934235058db869df8836ac422c68572eff6c5963e1",
+    "hybrid": "2b62948ed65d6a54e4e59c712fb4f23edd2e2fe6bfa1c9b19b0585b06d235039",
+}
 
 
 def run(capsys, *argv):
@@ -116,7 +128,6 @@ def test_calibration_override_changes_result(capsys, tmp_path):
 
 
 def test_workload_file_round_trip(capsys, tmp_path):
-    from imasim import workload as wl
     b = wl.BottleneckDescriptor(16, 6, 16, stride=1, height=16, width=16)
     path = tmp_path / "b.json"
     path.write_text(json.dumps(wl.bottleneck_to_dict(b)))
@@ -167,7 +178,6 @@ def assert_one_line_error(err):
 @pytest.mark.parametrize("field,value", [
     ("height", 32.5), ("width", True), ("c_in", "32"), ("stride", 1.0)])
 def test_non_integer_geometry_is_validation_error(capsys, tmp_path, field, value):
-    from imasim import workload as wl
     d = wl.bottleneck_to_dict(wl.default_bottleneck())
     d[field] = value
     path = tmp_path / "b.json"
@@ -194,5 +204,78 @@ def test_zero_cluster_divisor_is_validation_error(capsys, override):
     "ima.overlap_streamin_compute=3"])
 def test_negative_ima_overhead_is_validation_error(capsys, override):
     code, _, err = run(capsys, "simulate", "--plan", "ima16", "--set", override)
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+
+
+def test_outputs_are_byte_identical(capsys, tmp_path):
+    path = tmp_path / "sweep.csv"
+    assert run(capsys, "sweep", "--out", str(path))[0] == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_CSV_SHA256
+    for plan, digest in SIMULATE_JSON_SHA256.items():
+        code, out, _ = run(capsys, "simulate", "--plan", plan, "--ports", "4/4",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, plan
+
+
+def _network(**changes):
+    d = wl.network_to_dict(wl.mobilenet_v2_preset())
+    d.update(changes)
+    return d
+
+
+def _network_with_layer(index, layer):
+    d = _network()
+    d["layers"][index]["layer"] = layer
+    return d
+
+
+@pytest.mark.parametrize("command,option,content", [
+    ("simulate", "--calibration", []),
+    ("simulate", "--calibration", {"schema_version": 2, "cluster": []}),
+    ("simulate", "--workload-file", []),
+    ("devices", "--network-file", _network(input_shape=[224, 224, 3])),
+    ("devices", "--network-file", _network(layers=["stem"])),
+    ("devices", "--network-file", _network_with_layer(0, "standard")),
+], ids=["calibration", "calibration-section", "workload", "input-shape",
+        "network-entry", "layer"])
+def test_non_object_json_is_validation_error(capsys, tmp_path, command,
+                                             option, content):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(content))
+    code, _, err = run(capsys, command, option, str(path))
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("command,option,content", [
+    ("simulate", "--workload-file",
+     {**wl.bottleneck_to_dict(wl.default_bottleneck()), "bogus": 1}),
+    ("devices", "--network-file", _network(bogus=1)),
+    ("devices", "--network-file",
+     _network(input_shape={"height": 224, "width": 224, "channels": 3,
+                           "bogus": 1})),
+    ("devices", "--network-file",
+     _network(layers=[{"name": "stem", "layer": {"type": "pointwise",
+                                                 "c_in": 3, "c_out": 8},
+                       "bogus": 1}])),
+    ("devices", "--network-file",
+     _network_with_layer(1, {"type": "depthwise", "k": 3, "c": 32,
+                             "bogus": 2, "pad": 1})),
+], ids=["bottleneck", "network", "input-shape", "network-entry", "layer"])
+def test_unknown_workload_key_is_validation_error(capsys, tmp_path, command,
+                                                  option, content):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(content))
+    code, _, err = run(capsys, command, option, str(path))
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert "bogus" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_width_multiplier_is_validation_error(capsys, value):
+    code, _, err = run(capsys, "devices", "--width-multiplier", value)
     assert code == EXIT_VALIDATION
     assert_one_line_error(err)

@@ -32,10 +32,13 @@ class TestArea:
         assert metrics.pcm_area_mm2([alloc], AREA) == \
             pytest.approx(0.5032, abs=1e-3)
 
-    def test_empty_allocation(self):
-        assert metrics.area([], AREA) == 0.0
-        assert metrics.area([], AREA, include_cluster=True) == \
-            AREA.cluster_mm2 + AREA.ima_periphery_mm2
+    def test_empty_allocation(self, cal):
+        assert metrics.pcm_area_mm2([], AREA) == 0.0
+        # with no PCM the full area is the cluster and periphery alone
+        rep = report_for(cal, Plan.SW, 4)
+        assert rep.gops_per_mm2_pcm is None
+        assert rep.gops_per_mm2_full == \
+            rep.gops / (cal.area.cluster_mm2 + cal.area.ima_periphery_mm2)
 
     def test_plan_area_ratios_exact(self):
         areas = {p: metrics.pcm_area_mm2(

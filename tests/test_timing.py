@@ -52,7 +52,7 @@ class TestPhaseArithmetic:
         assert array_op_cycles(0, 250_000_000) == 0
 
     def test_compute_cycles_from_timing(self, cal):
-        assert timing.compute_cycles(cal.ima, cal.cluster.f_hz) == 18
+        assert array_op_cycles(cal.ima.t_array_ns, cal.cluster.f_hz) == 18
 
     def test_streamout(self):
         assert timing.streamout_cycles(64, 1) == 16
@@ -278,7 +278,7 @@ def enumerated_phases(stream, ports, ima, cluster) -> PhaseBreakdown:
         si = math.ceil(si * cluster.contention_factor)
         so = math.ceil(so * cluster.contention_factor)
     n_jobs = len(stream.jobs)
-    comp = n_jobs * timing.compute_cycles(ima, cluster.f_hz)
+    comp = n_jobs * array_op_cycles(ima.t_array_ns, cluster.f_hz)
     if ima.overlap_streamin_compute:
         si = max(0, si - comp)
     return PhaseBreakdown(streamin=si, compute=comp, streamout=so,

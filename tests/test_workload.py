@@ -87,7 +87,6 @@ class TestDefaultBottleneck:
             total += wl.macs(layer, shape)
             shape = wl.output_shape(layer, shape)
         assert wl.bottleneck_macs(b) == total
-        assert wl.bottleneck_params(b) == sum(wl.params(l) for l in b.expand())
 
     def test_activation_footprint_fits_512kb_untiled(self):
         b = wl.default_bottleneck()
