@@ -25,17 +25,21 @@ in-bounds taps summed over output pixels (the product of the per-axis
 sums) and P the output pixel count, group g fetches T slices of real_g
 bytes and writes P slices of out_g bytes, in P jobs per group.
 
-`job_stream` enumerates the same traffic as explicit (offset, length)
-segments per job. It exists only where bytes are pushed through a
-crossbar -- functional emulation in `verify` -- and as the test oracle for
-`stream_geometry`; the cycle model never builds one.
+`job_stream` describes the same traffic for functional emulation in
+`verify`, where bytes are actually pushed through a crossbar; the cycle
+model never builds one. `gather_indices` turns a stream into one index
+array per region, the virtual im2col as a numpy gather. `JobStream.jobs`
+enumerates the jobs as explicit (offset, length) segments, on first
+access only: it is the test oracle for `stream_geometry` and for the
+gather indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -187,34 +191,84 @@ class Job:
     region_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class JobStream:
+    """The streamer program of one layer, fixed by its geometry.
+
+    Group jobs run group-major so each region is configured once. `jobs`
+    builds the explicit job list on first access and keeps it.
+    """
+
     layer: LayerDescriptor
     strategy: MappingStrategy
     in_shape: TensorShape
     out_shape: TensorShape
-    jobs: tuple[Job, ...]
+
+    @cached_property
+    def jobs(self) -> tuple[Job, ...]:
+        """The per-job streamer address segments.
+
+        Dense layers: one job per output pixel with k^2 segments of c_in
+        bytes (one per receptive-field pixel, zero-fill where padded).
+
+        Depthwise groups: one job per (group, output pixel) with k^2
+        segments of c_job bytes covering the group's channel slice; a
+        partial tail group emits its real slice plus a zero-fill pad so the
+        DAC rows stay full.
+        """
+        if isinstance(self.layer, DepthwiseConv):
+            return tuple(_depthwise_jobs(self.layer, self.in_shape,
+                                         self.out_shape, self.strategy.c_job))
+        return tuple(_dense_jobs(self.in_shape, self.out_shape,
+                                 kernel_size(self.layer),
+                                 layer_stride(self.layer),
+                                 layer_pad(self.layer)))
 
 
 def job_stream(layer: LayerDescriptor, in_shape: TensorShape,
                strategy: MappingStrategy) -> JobStream:
-    """Generate the per-job streamer address segments for one layer.
+    """The job stream of one layer, after checking the stream's inputs.
 
-    Dense layers: one job per output pixel with k^2 segments of c_in bytes
-    (one per receptive-field pixel, zero-fill where padded).
-
-    Depthwise groups: one job per (group, output pixel) with k^2 segments of
-    c_job bytes covering the group's channel slice; a partial tail group
-    emits its real slice plus a zero-fill pad so the DAC rows stay full.
-    Group jobs are emitted group-major so each region is configured once.
+    Building it enumerates nothing; see `JobStream.jobs`.
     """
     out = _stream_output_shape(layer, in_shape, strategy)
-    if isinstance(layer, DepthwiseConv):
-        jobs = _depthwise_jobs(layer, in_shape, out, strategy.c_job)
-    else:
-        jobs = _dense_jobs(in_shape, out, kernel_size(layer),
-                           layer_stride(layer), layer_pad(layer))
-    return JobStream(layer, strategy, in_shape, out, tuple(jobs))
+    return JobStream(layer, strategy, in_shape, out)
+
+
+def gather_indices(stream: JobStream) -> Iterator[np.ndarray]:
+    """Yield each region's gather index, in region order.
+
+    Region g's index has shape (P, rows): row p lists, in DAC-row order,
+    the flat HWC input bytes of the region's job for output pixel p, which
+    is the concatenation of that job's segments. Zero-fill taps and the
+    channel pads of a tail group point at a zero slot one past the input,
+    index `in_shape.size_bytes`. Indices are built one region at a time
+    from the receptive-field bases, which all regions share.
+    """
+    layer, in_shape = stream.layer, stream.in_shape
+    base = _tap_bases(in_shape, stream.out_shape, kernel_size(layer),
+                      layer_stride(layer), layer_pad(layer))
+    c = in_shape.channels
+    width = stream.strategy.c_job if isinstance(layer, DepthwiseConv) else c
+    lanes = np.arange(width)
+    outside = (base < 0)[:, :, None]
+    for ch_off in range(0, c, width):
+        index = base[:, :, None] + (ch_off + lanes)
+        index[outside | (lanes >= c - ch_off)] = in_shape.size_bytes
+        yield index.reshape(len(base), -1)
+
+
+def _tap_bases(in_shape: TensorShape, out: TensorShape, k: int, stride: int,
+               pad: int) -> np.ndarray:
+    """(P, k^2) flat offsets of each output pixel's receptive-field taps,
+    -1 for a tap in the padding border."""
+    h, w, c = in_shape.height, in_shape.width, in_shape.channels
+    iy = (np.arange(out.height) * stride - pad)[:, None] + np.arange(k)
+    ix = (np.arange(out.width) * stride - pad)[:, None] + np.arange(k)
+    inside = (((iy >= 0) & (iy < h))[:, None, :, None]
+              & ((ix >= 0) & (ix < w))[None, :, None, :])
+    base = (iy[:, None, :, None] * w + ix[None, :, None, :]) * c
+    return np.where(inside, base, -1).reshape(out.height * out.width, k * k)
 
 
 def _stream_output_shape(layer: LayerDescriptor, in_shape: TensorShape,

@@ -10,6 +10,12 @@ choice.
 
 With noise disabled the two paths must agree bit for bit on every layer
 kind, including padded borders and partial depthwise channel groups.
+
+`execute_job_stream` runs a layer region by region: one gather of the
+region's inputs through `mapper.gather_indices` and one batched `mvm` call
+(a few, in bounded chunks, under read noise). Jobs reach each region's
+array in stream order, so seeded noise draws match those of one `mvm` call
+per job; `gather_job_input` is that per-job path's building block.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ from .xbar import (
 
 # upper bound on one bitline accumulation; must stay well inside int64
 _ACC_BOUND = 2**53
+# read-noise cells drawn per batched mvm call: 512 kB per float64 temporary
+_NOISE_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,21 +147,30 @@ def gather_job_input(job: mapper.Job, flat: np.ndarray) -> np.ndarray:
 
 def execute_job_stream(arrays: list[ProgrammedArray], stream: JobStream,
                        inp: QuantTensor, adc: AdcConfig) -> QuantTensor:
-    """Run every job through the crossbar and assemble the output tensor."""
-    flat_in = inp.flat
+    """Run every job through the crossbar and assemble the output tensor.
+
+    Region g's jobs go to `arrays[g]` as batches; the region writes its
+    real output columns of every output pixel.
+    """
+    flat_in = np.concatenate([inp.flat, np.zeros(1, dtype=inp.data.dtype)])
     out_shape = stream.out_shape
-    flat_out = np.zeros(out_shape.size_bytes, dtype=np.int8)
-    for job in stream.jobs:
-        arr = arrays[job.region_id]
-        x = gather_job_input(job, flat_in)
-        col_base = job.region_id * arr.cols \
-            if stream.strategy.kind is StrategyKind.DEPTHWISE_BLOCK else 0
-        y = arr.mvm(x, adc.slice(col_base, col_base + arr.cols))
-        flat_out[job.out_offset:job.out_offset + job.out_length] = \
-            y[:job.out_length]
+    out = np.zeros((out_shape.height * out_shape.width, out_shape.channels),
+                   dtype=np.int8)
+    depthwise = stream.strategy.kind is StrategyKind.DEPTHWISE_BLOCK
+    for g, index in enumerate(mapper.gather_indices(stream)):
+        arr = arrays[g]
+        col_base = g * arr.cols if depthwise else 0
+        real = min(arr.cols, out_shape.channels - col_base)
+        region_adc = adc.slice(col_base, col_base + arr.cols)
+        x = flat_in[index]
+        chunk = max(1, _NOISE_CHUNK_CELLS // (arr.rows * arr.cols)) \
+            if arr.noise_sigma > 0 else len(x)
+        for start in range(0, len(x), chunk):
+            y = arr.mvm(x[start:start + chunk], region_adc)
+            out[start:start + chunk, col_base:col_base + real] = y[:, :real]
     return QuantTensor(out_shape,
-                       flat_out.reshape(out_shape.height, out_shape.width,
-                                        out_shape.channels))
+                       out.reshape(out_shape.height, out_shape.width,
+                                   out_shape.channels))
 
 
 @dataclass(frozen=True, slots=True)

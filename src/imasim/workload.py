@@ -393,8 +393,12 @@ def network_from_dict(d: dict) -> NetworkDescriptor:
     _check_schema(d, "network", ("name", "input_shape", "layers"))
     shape = _check_object(d["input_shape"], "input_shape",
                           _field_names(TensorShape))
+    layers = d["layers"]
+    if not isinstance(layers, list):
+        raise ValueError(f"network layers must be a JSON list, "
+                         f"got {type(layers).__name__}")
     entries = [_check_object(entry, "network layer entry", ("name", "layer"))
-               for entry in d["layers"]]
+               for entry in layers]
     return NetworkDescriptor(
         d["name"], TensorShape(**shape),
         tuple(NamedLayer(entry["name"], layer_from_dict(entry["layer"]))

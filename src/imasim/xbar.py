@@ -11,6 +11,8 @@ and clamping to produce an 8-bit signed output:
 
 Accumulation is exact (64-bit integer) when noise is disabled, so repeated
 calls are deterministic and bit-identical to a direct integer reference.
+`mvm` takes one input vector or a batch of them; a batch of n behaves
+exactly as n successive single-vector calls, noise draws included.
 
 Two optional Gaussian noise terms model device non-ideality:
 - `program_sigma`: drawn once per cell at programming time (frozen write
@@ -23,6 +25,7 @@ The RNG is owned by the array instance and is never shared implicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -70,8 +73,8 @@ class AdcConfig:
     """
 
     scale: float | tuple[float, ...] = 1.0
-    lo: int = OUT_MIN
-    hi: int = OUT_MAX
+    lo: ClassVar[int] = OUT_MIN
+    hi: ClassVar[int] = OUT_MAX
 
     def __post_init__(self):
         scales = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
@@ -94,7 +97,7 @@ class AdcConfig:
         padded = np.ones(stop, dtype=np.float64)
         avail = min(stop, s.size)
         padded[:avail] = s[:avail]
-        return AdcConfig(tuple(padded[start:stop]), self.lo, self.hi)
+        return AdcConfig(tuple(padded[start:stop]))
 
     def requantize(self, acc: np.ndarray) -> np.ndarray:
         """Scale, round half away from zero, clamp. Returns int8."""
@@ -157,27 +160,34 @@ class ProgrammedArray:
         return self
 
     def mvm(self, x, adc: AdcConfig) -> np.ndarray:
-        """One crossbar operation: y = requantize(W^T x). Returns int8[cols].
+        """Crossbar operations y = requantize(W^T x): int8[cols] for one
+        input vector x[rows], int8[n, cols] for a batch x[n, rows].
 
-        Noise-free arrays accumulate in exact 64-bit integers; with noise
-        enabled the effective weight of each programmed cell is perturbed
-        and accumulation is done in float64.
+        A single vector is a batch of one. Noise-free arrays accumulate in
+        exact 64-bit integers. With noise enabled the effective weight of
+        each programmed cell is perturbed and accumulation is done in
+        float64; read noise is one (n, rows, cols) draw, which yields the
+        same values, and leaves the same RNG state, as n successive calls.
         """
         xv = np.asarray(x)
-        if xv.shape != (self.rows,):
+        batch = np.atleast_2d(xv)
+        if xv.ndim not in (1, 2) or batch.shape[1] != self.rows:
             raise DimensionMismatch(f"input length {xv.shape} != rows {self.rows}")
-        if np.any(xv < 0) or np.any(xv > INPUT_MAX):
+        if xv.dtype != np.uint8 and (np.any(xv < 0) or np.any(xv > INPUT_MAX)):
             raise ValueError("inputs must be unsigned 8-bit values")
         noisy = self.noise_sigma > 0 or self._program_noise is not None
         if not noisy:
-            acc = self.weights.T.astype(np.int64) @ xv.astype(np.int64)
+            acc = batch.astype(np.int64) @ self.weights.astype(np.int64)
         else:
             w = self.weights.astype(np.float64)
             if self._program_noise is not None:
                 w = w + self._program_noise
             if self.noise_sigma > 0:
-                read_noise = self._rng.normal(0.0, self.noise_sigma,
-                                              size=w.shape) * self.mask
+                read_noise = self._rng.normal(
+                    0.0, self.noise_sigma,
+                    size=(len(batch), self.rows, self.cols)) * self.mask
                 w = w + read_noise
-            acc = w.T @ xv.astype(np.float64)
-        return adc.requantize(acc)
+            xf = batch.astype(np.float64)[:, :, None]
+            acc = (np.swapaxes(w, -1, -2) @ xf)[:, :, 0]
+        y = adc.requantize(acc)
+        return y if xv.ndim == 2 else y[0]

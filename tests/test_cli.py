@@ -249,6 +249,17 @@ def test_non_object_json_is_validation_error(capsys, tmp_path, command,
     assert_one_line_error(err)
 
 
+@pytest.mark.parametrize("layers", [5, {"x": 1}, "ab", None],
+                         ids=["int", "object", "string", "null"])
+def test_non_list_network_layers_is_validation_error(capsys, tmp_path, layers):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(_network(layers=layers)))
+    code, _, err = run(capsys, "devices", "--network-file", str(path))
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert "layers must be a JSON list" in err
+
+
 @pytest.mark.parametrize("command,option,content", [
     ("simulate", "--workload-file",
      {**wl.bottleneck_to_dict(wl.default_bottleneck()), "bogus": 1}),

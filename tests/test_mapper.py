@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imasim import mapper
+from imasim import mapper, verify
 from imasim.mapper import (
     StrategyKind,
     depthwise_block,
@@ -137,6 +137,34 @@ class TestJobStream:
         rows = alloc.regions[0].rows
         for job in stream.jobs:
             assert sum(s.length for s in job.segments) == rows
+
+    def test_jobs_are_built_once(self):
+        stream = mapper.job_stream(DepthwiseConv(k=3, c=12, pad=1),
+                                   TensorShape(6, 6, 12), depthwise_block(8))
+        assert "jobs" not in vars(stream)  # nothing enumerated up front
+        assert stream.jobs is stream.jobs
+        assert len(stream.jobs) == 2 * 36
+
+    def test_gather_index_rows_are_job_segments(self):
+        # row p of region g's index is the concatenated segments of job
+        # g * P + p, with every zero-fill byte on the zero slot
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            layer, strategy, inp, _, _ = verify.random_case(rng)
+            stream = mapper.job_stream(layer, inp.shape, strategy)
+            zero_slot = inp.shape.size_bytes
+            indices = list(mapper.gather_indices(stream))
+            pixels = stream.out_shape.height * stream.out_shape.width
+            assert len(indices) == len(mapper.map_layer(layer, strategy).regions)
+            assert len(stream.jobs) == pixels * len(indices)
+            for i, job in enumerate(stream.jobs):
+                g, p = divmod(i, pixels)
+                assert job.region_id == g
+                expect = np.concatenate([
+                    np.full(s.length, zero_slot) if s.zero_fill
+                    else np.arange(s.offset, s.offset + s.length)
+                    for s in job.segments])
+                assert np.array_equal(indices[g][p], expect), (layer, i)
 
     def test_stream_bytes_excludes_zero_fill(self):
         geo = mapper.stream_geometry(StandardConv(k=3, c_in=32, c_out=64, pad=1),

@@ -5,6 +5,8 @@ from imasim import mapper
 from imasim.workload import DepthwiseConv, StandardConv
 from imasim.xbar import (
     DEVICES_PER_WEIGHT,
+    OUT_MAX,
+    OUT_MIN,
     AdcConfig,
     DimensionMismatch,
     ProgrammedArray,
@@ -190,3 +192,64 @@ def test_format_allocation_text():
     text = mapper.format_allocation(alloc)
     assert "utilization 0.1250" in text
     assert text.count("\n") == 1 + 24  # header + one line per region
+
+
+# --- batched mvm ----------------------------------------------------------------
+
+def _array(noise_sigma=0.0, program_sigma=0.0, seed=0):
+    rng = np.random.default_rng(21)
+    arr = ProgrammedArray(12, 6, noise_sigma=noise_sigma,
+                          program_sigma=program_sigma, seed=seed)
+    arr.program(Region(0, 0, 12, 5), rng.integers(-8, 8, size=(12, 5)))
+    return arr  # column 5 unprogrammed: its read noise is masked off
+
+
+@pytest.mark.parametrize("noise", [
+    {}, {"noise_sigma": 0.5}, {"program_sigma": 0.5},
+    {"noise_sigma": 0.5, "program_sigma": 0.3}])
+def test_batched_mvm_equals_successive_calls(noise):
+    rng = np.random.default_rng(22)
+    x = rng.integers(0, 256, size=(9, 12)).astype(np.uint8)
+    adc = AdcConfig(tuple(rng.uniform(0.005, 0.05, size=6)))
+    one, many = _array(**noise, seed=5), _array(**noise, seed=5)
+    batch = one.mvm(x, adc)
+    assert batch.shape == (9, 6) and batch.dtype == np.int8
+    successive = np.stack([many.mvm(row, adc) for row in x])
+    assert np.array_equal(batch, successive)
+    assert one._rng.bit_generator.state == many._rng.bit_generator.state
+
+
+def test_noisy_mvm_draws_follow_the_seed():
+    # program noise at write time, then one rows x cols read-noise grid per
+    # input vector, masked to the programmed cells, all from one seeded RNG
+    arr = _array(noise_sigma=0.5, program_sigma=0.3, seed=8)
+    rng = np.random.default_rng(8)
+    program_noise = np.zeros((12, 6))
+    program_noise[:, :5] = rng.normal(0.0, 0.3, size=(12, 5))
+    x = np.random.default_rng(23).integers(0, 256, size=(4, 12))
+    adc = AdcConfig(0.02)
+    for row, y in zip(x, arr.mvm(x.astype(np.uint8), adc)):
+        w = arr.weights + program_noise \
+            + rng.normal(0.0, 0.5, size=(12, 6)) * arr.mask
+        assert np.array_equal(y, adc.requantize(w.T @ row.astype(np.float64)))
+
+
+def test_batched_mvm_keeps_input_checks():
+    arr = _array()
+    with pytest.raises(DimensionMismatch):
+        arr.mvm(np.zeros((3, 11), dtype=np.uint8), ADC1)
+    with pytest.raises(DimensionMismatch):
+        arr.mvm(np.zeros((2, 3, 12), dtype=np.uint8), ADC1)
+    bad = np.zeros((3, 12), dtype=np.int64)
+    for value in (-1, 256):
+        bad[2, 7] = value
+        with pytest.raises(ValueError, match="unsigned 8-bit"):
+            arr.mvm(bad, ADC1)
+
+
+def test_adc_clamp_bounds_are_constants():
+    adc = AdcConfig((0.5, 0.25))
+    assert (adc.lo, adc.hi) == (OUT_MIN, OUT_MAX)
+    assert (adc.slice(1, 3).lo, adc.slice(1, 3).hi) == (OUT_MIN, OUT_MAX)
+    with pytest.raises(TypeError):
+        AdcConfig(1.0, -5, 5)
