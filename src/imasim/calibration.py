@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .metrics import AreaModel, EnergyModel
-from .timing import ClusterConfig, ImaTiming
+from .timing import ClusterConfig, ImaTiming, array_op_cycles
 
 SCHEMA_VERSION = 2
 
@@ -28,6 +28,13 @@ class Calibration:
     area: AreaModel
     energy: EnergyModel
     note: str = ""
+
+    def __post_init__(self):
+        try:
+            array_op_cycles(self.ima.t_array_ns, self.cluster.f_hz)
+        except OverflowError:
+            raise ValueError("ima.t_array_ns * cluster.f_hz overflows "
+                             "the array operation's cycle count") from None
 
 
 _SECTIONS = {

@@ -193,6 +193,8 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     if args.cases < 0:
         raise ValidationError("--cases must be >= 0")
+    if args.seed < 0:
+        raise ValidationError("--seed must be >= 0")
     summary = verify.run_random_suite(args.cases, args.seed)
     print(f"{summary.passed}/{summary.cases} randomized equivalence cases passed "
           f"(seed {args.seed})")
@@ -227,6 +229,8 @@ def cmd_devices(args) -> int:
         label = f"depthwise c_job = {c_job}"
     print(f"network: {net.name}   policy: {label}")
     for scope, n in (("all layers", net), ("bottlenecks only", net.without_stem_head())):
+        if not n.layers:
+            continue  # a network of only stem and head has no bottlenecks
         rep = mapper.network_device_count(n, policy)
         print(f"  {scope:<18} devices: {rep.devices_total:>12,}   "
               f"useful: {rep.devices_useful:>12,}   "

@@ -1,5 +1,9 @@
 """Map convolution layers onto crossbar regions and generate job streams.
 
+The layer kind decides the mapping; the one choice left is `c_job`, how
+many depthwise channels share a crossbar job. `MappingStrategy` carries
+it, `None` for standard and pointwise layers.
+
 Standard and pointwise convolutions map densely: the region has
 k*k*c_in rows (the flattened receptive field in HWC order) and c_out
 columns; every output pixel is one job and utilization is 1.
@@ -13,7 +17,8 @@ off-diagonal weights are structural zeros. The crossbar cell count is
 
 so utilization is exactly 1/c_job: throughput per job and array area trade
 off directly. A non-divisible tail group is padded up to c_job columns
-(rows likewise), which keeps per-job timing uniform.
+(rows likewise), which keeps per-job timing uniform. Streams treat a dense
+layer as one group of all its channels.
 
 The streamer performs a virtual im2col over the flat HWC activation buffer:
 per job it fetches one contiguous slice per in-bounds receptive-field tap.
@@ -37,7 +42,6 @@ gather indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -61,40 +65,42 @@ from .workload import (
 from .xbar import DEVICES_PER_WEIGHT, Region
 
 
-class StrategyKind(Enum):
-    STANDARD_IM2COL = "standard_im2col"
-    POINTWISE = "pointwise"
-    DEPTHWISE_BLOCK = "depthwise_block"
-
-
 @dataclass(frozen=True, slots=True)
 class MappingStrategy:
-    kind: StrategyKind
-    c_job: int | None = None  # channels per job, depthwise only
+    """Depthwise channels per crossbar job; `None` maps a standard or
+    pointwise layer densely."""
+
+    c_job: int | None = None
 
     def __post_init__(self):
-        if self.kind is StrategyKind.DEPTHWISE_BLOCK:
-            if self.c_job is None or self.c_job < 1:
-                raise ValueError("depthwise mapping needs c_job >= 1")
+        if self.c_job is not None and self.c_job < 1:
+            raise ValueError("depthwise mapping needs c_job >= 1")
 
 
-STANDARD_IM2COL = MappingStrategy(StrategyKind.STANDARD_IM2COL)
-POINTWISE = MappingStrategy(StrategyKind.POINTWISE)
+STANDARD_IM2COL = MappingStrategy()  # dense: standard and pointwise layers
 
 
 def depthwise_block(c_job: int) -> MappingStrategy:
-    return MappingStrategy(StrategyKind.DEPTHWISE_BLOCK, c_job)
+    return MappingStrategy(c_job)
 
 
 def default_strategy(layer: LayerDescriptor,
                      dw_c_job: int | None = None) -> MappingStrategy:
     """Natural strategy per layer kind; depthwise needs a c_job choice."""
-    if isinstance(layer, PointwiseConv):
-        return POINTWISE
     if isinstance(layer, DepthwiseConv):
         c_job = layer.c if dw_c_job is None else min(dw_c_job, layer.c)
         return depthwise_block(c_job)
     return STANDARD_IM2COL
+
+
+def _check_strategy(layer: LayerDescriptor, strategy: MappingStrategy) -> None:
+    """Depthwise layers, and only they, take a c_job, of at most c."""
+    c_job = strategy.c_job
+    if isinstance(layer, DepthwiseConv) != (c_job is not None):
+        raise ValueError(f"{type(layer).__name__} cannot map with c_job="
+                         f"{c_job}: depthwise layers, and only they, take one")
+    if c_job is not None and c_job > layer.c:
+        raise ValueError(f"c_job must be in [1, {layer.c}], got {c_job}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +108,6 @@ class CrossbarAllocation:
     layer: LayerDescriptor
     strategy: MappingStrategy
     regions: tuple[Region, ...]  # one per depthwise channel group; dense: one
-    rows_used: int
-    cols_used: int
     weights_total: int   # crossbar cells claimed, incl. structural zeros
     weights_useful: int  # cells holding real parameters
 
@@ -126,14 +130,14 @@ def map_standard(conv: StandardConv | PointwiseConv) -> CrossbarAllocation:
     One region of k*k*c_in rows by c_out columns, one job per output pixel;
     the array is assumed sized to fit.
     """
+    _check_strategy(conv, STANDARD_IM2COL)
     k = kernel_size(conv)
     rows = k * k * conv.c_in
     cols = conv.c_out
     weights = rows * cols
     return CrossbarAllocation(
-        layer=conv, strategy=default_strategy(conv),
+        layer=conv, strategy=STANDARD_IM2COL,
         regions=(Region(0, 0, rows, cols),),
-        rows_used=rows, cols_used=cols,
         weights_total=weights, weights_useful=weights)
 
 
@@ -144,30 +148,24 @@ def map_depthwise(dw: DepthwiseConv, c_job: int) -> CrossbarAllocation:
     diagonally; a partial tail group is padded up to c_job. Useful weights
     are the k*k*c real taps.
     """
-    if c_job < 1 or c_job > dw.c:
-        raise ValueError(f"c_job must be in [1, {dw.c}], got {c_job}")
+    strategy = depthwise_block(c_job)
+    _check_strategy(dw, strategy)
     groups = -(-dw.c // c_job)
     block_rows = dw.k * dw.k * c_job
     regions = tuple(Region(g * block_rows, g * c_job, block_rows, c_job)
                     for g in range(groups))
     weights_total = groups * block_rows * c_job  # k^2 * c * c_job when c_job | c
     return CrossbarAllocation(
-        layer=dw, strategy=depthwise_block(c_job),
-        regions=regions,
-        rows_used=groups * block_rows, cols_used=groups * c_job,
+        layer=dw, strategy=strategy, regions=regions,
         weights_total=weights_total,
         weights_useful=dw.k * dw.k * dw.c)
 
 
 def map_layer(layer: LayerDescriptor,
               strategy: MappingStrategy) -> CrossbarAllocation:
-    if strategy.kind is StrategyKind.DEPTHWISE_BLOCK:
-        if not isinstance(layer, DepthwiseConv):
-            raise ValueError("depthwise strategy on a non-depthwise layer")
-        return map_depthwise(layer, strategy.c_job)
-    if isinstance(layer, DepthwiseConv):
-        raise ValueError("depthwise layer needs a depthwise_block strategy")
-    return map_standard(layer)
+    if strategy.c_job is None:
+        return map_standard(layer)
+    return map_depthwise(layer, strategy.c_job)
 
 
 def utilization(alloc: CrossbarAllocation) -> float:
@@ -206,23 +204,15 @@ class JobStream:
 
     @cached_property
     def jobs(self) -> tuple[Job, ...]:
-        """The per-job streamer address segments.
+        """The per-job streamer address segments, one job per (channel
+        group, output pixel).
 
-        Dense layers: one job per output pixel with k^2 segments of c_in
-        bytes (one per receptive-field pixel, zero-fill where padded).
-
-        Depthwise groups: one job per (group, output pixel) with k^2
-        segments of c_job bytes covering the group's channel slice; a
-        partial tail group emits its real slice plus a zero-fill pad so the
-        DAC rows stay full.
+        A job has k^2 segments of its group's real channel slice (one per
+        receptive-field pixel, zero-fill where padded). A partial depthwise
+        tail group follows each real slice with a zero-fill pad so the DAC
+        rows stay full.
         """
-        if isinstance(self.layer, DepthwiseConv):
-            return tuple(_depthwise_jobs(self.layer, self.in_shape,
-                                         self.out_shape, self.strategy.c_job))
-        return tuple(_dense_jobs(self.in_shape, self.out_shape,
-                                 kernel_size(self.layer),
-                                 layer_stride(self.layer),
-                                 layer_pad(self.layer)))
+        return tuple(_enumerate_jobs(self))
 
 
 def job_stream(layer: LayerDescriptor, in_shape: TensorShape,
@@ -231,8 +221,8 @@ def job_stream(layer: LayerDescriptor, in_shape: TensorShape,
 
     Building it enumerates nothing; see `JobStream.jobs`.
     """
-    out = _stream_output_shape(layer, in_shape, strategy)
-    return JobStream(layer, strategy, in_shape, out)
+    _check_strategy(layer, strategy)
+    return JobStream(layer, strategy, in_shape, output_shape(layer, in_shape))
 
 
 def gather_indices(stream: JobStream) -> Iterator[np.ndarray]:
@@ -249,7 +239,7 @@ def gather_indices(stream: JobStream) -> Iterator[np.ndarray]:
     base = _tap_bases(in_shape, stream.out_shape, kernel_size(layer),
                       layer_stride(layer), layer_pad(layer))
     c = in_shape.channels
-    width = stream.strategy.c_job if isinstance(layer, DepthwiseConv) else c
+    width = stream.strategy.c_job or c
     lanes = np.arange(width)
     outside = (base < 0)[:, :, None]
     for ch_off in range(0, c, width):
@@ -271,15 +261,6 @@ def _tap_bases(in_shape: TensorShape, out: TensorShape, k: int, stride: int,
     return np.where(inside, base, -1).reshape(out.height * out.width, k * k)
 
 
-def _stream_output_shape(layer: LayerDescriptor, in_shape: TensorShape,
-                         strategy: MappingStrategy) -> TensorShape:
-    """Output shape of a streamed layer, after checking the stream's inputs."""
-    if isinstance(layer, DepthwiseConv) \
-            and strategy.kind is not StrategyKind.DEPTHWISE_BLOCK:
-        raise ValueError("depthwise layer needs a depthwise_block strategy")
-    return output_shape(layer, in_shape)
-
-
 def _receptive_segments(in_shape: TensorShape, oy: int, ox: int,
                         k: int, stride: int, pad: int,
                         ch_off: int, ch_len: int) -> tuple[Segment, ...]:
@@ -296,42 +277,35 @@ def _receptive_segments(in_shape: TensorShape, oy: int, ox: int,
     return tuple(segs)
 
 
-def _dense_jobs(in_shape: TensorShape, out: TensorShape,
-                k: int, stride: int, pad: int) -> list[Job]:
-    c_in = in_shape.channels
-    c_out = out.channels
-    jobs = []
-    for oy in range(out.height):
-        for ox in range(out.width):
-            segs = _receptive_segments(in_shape, oy, ox, k, stride, pad, 0, c_in)
-            jobs.append(Job(segs, (oy * out.width + ox) * c_out, c_out, 0))
-    return jobs
-
-
-def _depthwise_jobs(dw: DepthwiseConv, in_shape: TensorShape,
-                    out: TensorShape, c_job: int) -> list[Job]:
-    c = dw.c
-    groups = -(-c // c_job)
-    jobs = []
-    for g in range(groups):
-        ch_off = g * c_job
-        real = min(c_job, c - ch_off)
-        pad_len = c_job - real
+def _enumerate_jobs(stream: JobStream) -> Iterator[Job]:
+    """Jobs group-major; group g reads and writes the g-th slices of
+    `_group_slices`."""
+    layer, in_shape, out = stream.layer, stream.in_shape, stream.out_shape
+    k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
+    c_job = stream.strategy.c_job
+    width_in = c_job or in_shape.channels
+    width_out = c_job or out.channels
+    slices = zip(_group_slices(in_shape.channels, width_in),
+                 _group_slices(out.channels, width_out))
+    for g, (real, out_len) in enumerate(slices):
+        pad_len = width_in - real
         for oy in range(out.height):
             for ox in range(out.width):
-                segs = _receptive_segments(in_shape, oy, ox, dw.k, dw.stride,
-                                           dw.pad, ch_off, real)
+                segs = _receptive_segments(in_shape, oy, ox, k, stride, pad,
+                                           g * width_in, real)
                 if pad_len:
                     # channel pad of the tail group: interleave a zero-fill
                     # after each real slice so DAC rows stay contiguous
-                    padded = []
-                    for s in segs:
-                        padded.append(s)
-                        padded.append(Segment(0, pad_len, zero_fill=True))
-                    segs = tuple(padded)
-                jobs.append(Job(segs, (oy * out.width + ox) * c + ch_off,
-                                real, g))
-    return jobs
+                    zero = Segment(0, pad_len, zero_fill=True)
+                    segs = tuple(x for s in segs for x in (s, zero))
+                yield Job(segs, (oy * out.width + ox) * out.channels
+                          + g * width_out, out_len, g)
+
+
+def _group_slices(channels: int, width: int) -> tuple[int, ...]:
+    """Channels of each group of `width`, the last one possibly partial."""
+    full, tail = divmod(channels, width)
+    return (width,) * full + ((tail,) if tail else ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,22 +339,20 @@ def stream_geometry(layer: LayerDescriptor, in_shape: TensorShape,
                     strategy: MappingStrategy) -> StreamGeometry:
     """Stream traffic of a layer from its geometry, without enumerating jobs.
 
-    Accepts and rejects exactly the arguments `job_stream` does. Dense
-    layers have one group (c_in in, c_out out); depthwise group g has
-    real_g = out_g = min(c_job, c - g * c_job).
+    Accepts and rejects exactly the arguments `job_stream` and `map_layer`
+    do. Group g has real_g = min(width, c_in - g * width) input and out_g
+    output channels, with width c_job (depthwise) or the channel count
+    (dense: one group, c_in in and c_out out).
     """
-    out = _stream_output_shape(layer, in_shape, strategy)
+    _check_strategy(layer, strategy)
+    out = output_shape(layer, in_shape)
     k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
     taps = (_axis_taps(in_shape.height, out.height, k, stride, pad)
             * _axis_taps(in_shape.width, out.width, k, stride, pad))
-    if isinstance(layer, DepthwiseConv):
-        c_job = strategy.c_job
-        slices = tuple(min(c_job, layer.c - off)
-                       for off in range(0, layer.c, c_job))
-        slices_in = slices_out = slices
-    else:
-        slices_in, slices_out = (in_shape.channels,), (out.channels,)
-    return StreamGeometry(taps, out.height * out.width, slices_in, slices_out)
+    c_in, c_out = in_shape.channels, out.channels
+    return StreamGeometry(taps, out.height * out.width,
+                          _group_slices(c_in, strategy.c_job or c_in),
+                          _group_slices(c_out, strategy.c_job or c_out))
 
 
 def stream_bytes(stream: JobStream) -> tuple[int, int]:

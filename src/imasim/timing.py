@@ -95,13 +95,19 @@ class ClusterConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if not (0 < self.eta_conv <= 1 and 0 < self.eta_dw <= 1):
-            raise ValueError("utilization factors must be in (0, 1]")
+        for name in ("eta_conv", "eta_dw"):
+            eta = getattr(self, name)
+            if not 0 < eta <= 1 or self.sw_rate_micro(eta) < 1:
+                raise ValueError(f"{name} must be in (0, 1] and give at least "
+                                 f"1e-6 software MACs per cycle, got {eta}")
         if self.contention_factor < 1.0:
             raise ValueError("contention factor must be >= 1.0")
 
-    def sw_macs_per_cycle(self, eta: float) -> float:
-        return self.n_cores * self.simd_macs_per_core_cycle * eta
+    def sw_rate_micro(self, eta: float) -> int:
+        """Software MACs per cycle in millionths, rounded: a scaled integer,
+        exact for calibration etas of <= 6 decimals."""
+        return round(self.n_cores * self.simd_macs_per_core_cycle * eta
+                     * 1_000_000)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,9 +225,7 @@ def layer_cycles_sw(layer: LayerDescriptor, in_shape: TensorShape,
     else:
         eta = cluster.eta_conv
         marshal = 0
-    # scaled-integer ceiling: exact for calibration etas of <= 6 decimals
-    rate_micro = round(cluster.sw_macs_per_cycle(eta) * 1_000_000)
-    sw = _ceil_div(n_macs * 1_000_000, rate_micro)
+    sw = _ceil_div(n_macs * 1_000_000, cluster.sw_rate_micro(eta))
     return PhaseBreakdown(sw=sw, marshal=marshal)
 
 

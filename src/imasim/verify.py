@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mapper
-from .mapper import CrossbarAllocation, JobStream, MappingStrategy, StrategyKind
+from .mapper import CrossbarAllocation, JobStream, MappingStrategy
 from .workload import (
     DepthwiseConv,
     LayerDescriptor,
@@ -150,16 +150,16 @@ def execute_job_stream(arrays: list[ProgrammedArray], stream: JobStream,
     """Run every job through the crossbar and assemble the output tensor.
 
     Region g's jobs go to `arrays[g]` as batches; the region writes its
-    real output columns of every output pixel.
+    real output columns, from `g * cols` on, of every output pixel (a dense
+    layer has one region).
     """
     flat_in = np.concatenate([inp.flat, np.zeros(1, dtype=inp.data.dtype)])
     out_shape = stream.out_shape
     out = np.zeros((out_shape.height * out_shape.width, out_shape.channels),
                    dtype=np.int8)
-    depthwise = stream.strategy.kind is StrategyKind.DEPTHWISE_BLOCK
     for g, index in enumerate(mapper.gather_indices(stream)):
         arr = arrays[g]
-        col_base = g * arr.cols if depthwise else 0
+        col_base = g * arr.cols
         real = min(arr.cols, out_shape.channels - col_base)
         region_adc = adc.slice(col_base, col_base + arr.cols)
         x = flat_in[index]
@@ -214,11 +214,11 @@ def random_case(rng: np.random.Generator):
     """
     kind = rng.choice(["standard", "pointwise", "depthwise"])
     scale_pool = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03, 0.011)
+    strategy = mapper.STANDARD_IM2COL
     if kind == "pointwise":
         c_in = int(rng.integers(1, 9))
         c_out = int(rng.integers(1, 9))
         layer = PointwiseConv(c_in=c_in, c_out=c_out)
-        strategy = mapper.POINTWISE
         k, pad = 1, 0
     elif kind == "standard":
         k = int(rng.integers(1, 4))
@@ -227,7 +227,6 @@ def random_case(rng: np.random.Generator):
         pad = int(rng.integers(0, 2))
         layer = StandardConv(k=k, c_in=c_in, c_out=c_out,
                              stride=int(rng.integers(1, 3)), pad=pad)
-        strategy = mapper.STANDARD_IM2COL
     else:
         k = int(rng.integers(2, 4))
         c = int(rng.integers(1, 13))

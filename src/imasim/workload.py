@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Union
 
 
@@ -246,10 +246,14 @@ def network_params(net: NetworkDescriptor) -> int:
 
 
 def validate_chain(net: NetworkDescriptor) -> TensorShape:
-    """Fold output_shape over the network; raises if shapes do not chain."""
+    """Fold output_shape over the network; raises, naming the first layer
+    that does not chain, if shapes do not chain."""
     shape = net.input_shape
     for nl in net.layers:
-        shape = output_shape(nl.layer, shape)
+        try:
+            shape = output_shape(nl.layer, shape)
+        except ValueError as e:
+            raise ValueError(f"layer {nl.name!r} does not chain: {e}") from None
     return shape
 
 
@@ -297,31 +301,26 @@ def mobilenet_v2_preset(width_multiplier: float = 1.0) -> NetworkDescriptor:
             return c
         return _make_divisible(c * width_multiplier)
 
-    layers: list[NamedLayer] = []
-    stem_out = scale(32)
-    layers.append(NamedLayer("stem", StandardConv(k=3, c_in=3, c_out=stem_out,
-                                                  stride=2, pad=1)))
-    c_prev = stem_out
+    image = TensorShape(224, 224, 3)
+    stem = StandardConv(k=3, c_in=3, c_out=scale(32), stride=2, pad=1)
+    layers = [NamedLayer("stem", stem)]
+    shape = output_shape(stem, image)
     block = 0
     for t, c, n, s in _MOBILENET_V2_TABLE:
-        c_out = scale(c)
         for i in range(n):
             block += 1
-            stride = s if i == 0 else 1
-            c_exp = c_prev * t
-            prefix = f"b{block}"
-            if t > 1:
-                layers.append(NamedLayer(f"{prefix}.expand",
-                                         PointwiseConv(c_in=c_prev, c_out=c_exp)))
-            layers.append(NamedLayer(f"{prefix}.dw",
-                                     DepthwiseConv(k=3, c=c_exp, stride=stride, pad=1)))
-            layers.append(NamedLayer(f"{prefix}.project",
-                                     PointwiseConv(c_in=c_exp, c_out=c_out)))
-            c_prev = c_out
+            parts = BottleneckDescriptor(
+                c_in=shape.channels, expansion=t, c_out=scale(c),
+                stride=s if i == 0 else 1, height=shape.height,
+                width=shape.width).expand()
+            names = ("expand", "dw", "project")[-len(parts):]
+            for name, layer in zip(names, parts):
+                layers.append(NamedLayer(f"b{block}.{name}", layer))
+                shape = output_shape(layer, shape)
     head_out = 1280 if width_multiplier <= 1.0 else _make_divisible(1280 * width_multiplier)
-    layers.append(NamedLayer("head", PointwiseConv(c_in=c_prev, c_out=head_out)))
-    return NetworkDescriptor(f"mobilenet_v2-{width_multiplier}",
-                             TensorShape(224, 224, 3),
+    layers.append(NamedLayer("head", PointwiseConv(c_in=shape.channels,
+                                                   c_out=head_out)))
+    return NetworkDescriptor(f"mobilenet_v2-{width_multiplier}", image,
                              tuple(layers))
 
 
@@ -355,11 +354,15 @@ def layer_from_dict(d: dict) -> LayerDescriptor:
     """Layer from its dict; omitted stride and pad default to 1 and 0."""
     if not isinstance(d, dict):
         raise ValueError(f"layer must be a JSON object, got {type(d).__name__}")
-    kind = d.get("type")
+    if "type" not in d:
+        raise ValueError("layer is missing keys: ['type']")
+    kind = d["type"]
     if kind not in _LAYER_TYPES:
         raise ValueError(f"unknown layer type {kind!r}")
     cls = _LAYER_TYPES[kind]
-    _check_object(d, f"{kind} layer", ("type", *_field_names(cls)))
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING)
+    optional = tuple(f.name for f in fields(cls) if f.default is not MISSING)
+    _check_object(d, f"{kind} layer", ("type", *required), optional)
     return cls(**{key: value for key, value in d.items() if key != "type"})
 
 
@@ -370,10 +373,10 @@ def bottleneck_to_dict(b: BottleneckDescriptor) -> dict:
 
 
 def bottleneck_from_dict(d: dict) -> BottleneckDescriptor:
-    _check_schema(d, "bottleneck", _field_names(BottleneckDescriptor))
-    return BottleneckDescriptor(c_in=d["c_in"], expansion=d["expansion"],
-                                c_out=d["c_out"], stride=d.get("stride", 1),
-                                height=d["height"], width=d["width"])
+    _check_schema(d, "bottleneck",
+                  ("c_in", "expansion", "c_out", "height", "width"), ("stride",))
+    return BottleneckDescriptor(**{key: value for key, value in d.items()
+                                   if key not in ("schema_version", "kind")})
 
 
 def network_to_dict(net: NetworkDescriptor) -> dict:
@@ -390,42 +393,49 @@ def network_to_dict(net: NetworkDescriptor) -> dict:
 
 
 def network_from_dict(d: dict) -> NetworkDescriptor:
+    """Network from its dict, after checking that its layers chain."""
     _check_schema(d, "network", ("name", "input_shape", "layers"))
     shape = _check_object(d["input_shape"], "input_shape",
-                          _field_names(TensorShape))
+                          tuple(f.name for f in fields(TensorShape)))
     layers = d["layers"]
     if not isinstance(layers, list):
         raise ValueError(f"network layers must be a JSON list, "
                          f"got {type(layers).__name__}")
+    if not layers:
+        raise ValueError("network layers must not be empty")
     entries = [_check_object(entry, "network layer entry", ("name", "layer"))
                for entry in layers]
-    return NetworkDescriptor(
+    net = NetworkDescriptor(
         d["name"], TensorShape(**shape),
         tuple(NamedLayer(entry["name"], layer_from_dict(entry["layer"]))
               for entry in entries),
     )
+    validate_chain(net)
+    return net
 
 
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-def _check_object(d, what: str, keys: tuple[str, ...]) -> dict:
-    """`d`, after checking that it is a dict with no keys beyond `keys`."""
+def _check_object(d, what: str, required: tuple[str, ...],
+                  optional: tuple[str, ...] = ()) -> dict:
+    """`d`, after checking that it is a dict that has every key of
+    `required` and no keys beyond `required` and `optional`."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - set(keys)
+    unknown = set(d) - set(required) - set(optional)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ValueError(f"{what} is missing keys: {missing}")
     return d
 
 
-def _check_schema(d: dict, kind: str, keys: tuple[str, ...]):
-    _check_object(d, kind, ("schema_version", "kind", *keys))
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-    if d.get("kind") != kind:
-        raise ValueError(f"expected kind {kind!r}, got {d.get('kind')!r}")
+def _check_schema(d: dict, kind: str, required: tuple[str, ...],
+                  optional: tuple[str, ...] = ()):
+    _check_object(d, kind, ("schema_version", "kind", *required), optional)
+    if d["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {d['schema_version']!r}")
+    if d["kind"] != kind:
+        raise ValueError(f"expected kind {kind!r}, got {d['kind']!r}")
 
 
 def load_workload(path: str) -> BottleneckDescriptor | NetworkDescriptor:

@@ -100,6 +100,14 @@ def test_devices_bad_cjob(capsys):
     assert run(capsys, "devices", "--cjob", "zero")[0] == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("option,value", [("--cases", "-1"), ("--seed", "-1")])
+def test_bad_verify_option_is_validation_error(capsys, option, value):
+    code, _, err = run(capsys, "verify", option, value)
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert option in err
+
+
 def test_missing_calibration_file_is_io_error(capsys):
     code, _, err = run(capsys, "simulate", "--calibration", "/nonexistent.json")
     assert code == EXIT_IO
@@ -191,7 +199,8 @@ def test_non_integer_geometry_is_validation_error(capsys, tmp_path, field, value
     "cluster.n_cores=0", "cluster.simd_macs_per_core_cycle=0",
     "cluster.marshal_bytes_per_cycle=0", "cluster.f_hz=0",
     "cluster.contention_factor=1e400", "energy.p_core_idle_mw=NaN",
-    "cluster.n_cores=1.5", "cluster.f_hz=true"])
+    "cluster.n_cores=1.5", "cluster.f_hz=true", "cluster.eta_dw=1e-9",
+    "cluster.eta_conv=1e-9"])
 def test_zero_cluster_divisor_is_validation_error(capsys, override):
     code, _, err = run(capsys, "simulate", "--plan", "sw", "--set", override)
     assert code == EXIT_VALIDATION
@@ -201,7 +210,7 @@ def test_zero_cluster_divisor_is_validation_error(capsys, override):
 @pytest.mark.parametrize("override", [
     "ima.cfg_overhead_cycles=-5", "ima.job_handshake_cycles=-1",
     "ima.t_array_ns=1e400", "ima.cfg_overhead_cycles=1.5",
-    "ima.overlap_streamin_compute=3"])
+    "ima.overlap_streamin_compute=3", "ima.t_array_ns=1e300"])
 def test_negative_ima_overhead_is_validation_error(capsys, override):
     code, _, err = run(capsys, "simulate", "--plan", "ima16", "--set", override)
     assert code == EXIT_VALIDATION
@@ -290,3 +299,64 @@ def test_bad_width_multiplier_is_validation_error(capsys, value):
     code, _, err = run(capsys, "devices", "--width-multiplier", value)
     assert code == EXIT_VALIDATION
     assert_one_line_error(err)
+
+
+def _write_network(tmp_path, content):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(content))
+    return str(path)
+
+
+def test_empty_network_is_validation_error(capsys, tmp_path):
+    path = _write_network(tmp_path, _network(layers=[]))
+    code, _, err = run(capsys, "devices", "--network-file", path)
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert "must not be empty" in err
+
+
+def test_stem_and_head_network_has_no_bottleneck_row(capsys, tmp_path):
+    layers = _network()["layers"]
+    stem, head = layers[0], layers[-1]
+    head["layer"]["c_in"] = stem["layer"]["c_out"]
+    path = _write_network(tmp_path, _network(layers=[stem, head]))
+    code, out, _ = run(capsys, "devices", "--network-file", path)
+    assert code == EXIT_OK
+    assert "all layers" in out and "bottlenecks only" not in out
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("command,option,content,key", [
+    ("simulate", "--workload-file",
+     _without(wl.bottleneck_to_dict(wl.default_bottleneck()), "height"),
+     "height"),
+    ("devices", "--network-file", _without(_network(), "layers"), "layers"),
+    ("devices", "--network-file",
+     _network(input_shape={"height": 224, "width": 224}), "channels"),
+    ("devices", "--network-file", _network(layers=[{"name": "stem"}]), "layer"),
+    ("devices", "--network-file",
+     _network_with_layer(1, {"type": "depthwise", "c": 32, "pad": 1}), "k"),
+], ids=["bottleneck", "network", "input-shape", "network-entry", "layer"])
+def test_missing_workload_key_is_validation_error(capsys, tmp_path, command,
+                                                  option, content, key):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(content))
+    code, _, err = run(capsys, command, option, str(path))
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert f"is missing keys: [{key!r}]" in err
+
+
+def test_unchained_network_is_validation_error(capsys, tmp_path):
+    layers = [{"name": "stem", "layer": {"type": "standard", "k": 3, "c_in": 3,
+                                         "c_out": 4, "stride": 2, "pad": 1}},
+              {"name": "b1.project",
+               "layer": {"type": "pointwise", "c_in": 7, "c_out": 8}}]
+    path = _write_network(tmp_path, _network(layers=layers))
+    code, _, err = run(capsys, "devices", "--network-file", path)
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert "'b1.project' does not chain" in err

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from imasim import mapper, verify
-from imasim.mapper import (
-    StrategyKind,
-    depthwise_block,
-)
+from imasim.mapper import depthwise_block
 from imasim.workload import (
     DepthwiseConv,
     NamedLayer,
@@ -14,25 +11,24 @@ from imasim.workload import (
     StandardConv,
     TensorShape,
 )
+from imasim.xbar import Region
 
 
 class TestDenseMapping:
     def test_standard_conv(self):
         alloc = mapper.map_standard(StandardConv(k=3, c_in=32, c_out=64))
-        assert alloc.rows_used == 288
-        assert alloc.cols_used == 64
+        assert alloc.regions == (Region(0, 0, 288, 64),)
         assert alloc.weights_total == alloc.weights_useful == 18_432
         assert mapper.utilization(alloc) == 1.0
         assert alloc.jobs_per_output_pixel == 1
 
     def test_pointwise(self):
         alloc = mapper.map_standard(PointwiseConv(32, 192))
-        assert alloc.rows_used == 32
-        assert alloc.cols_used == 192
+        assert alloc.regions == (Region(0, 0, 32, 192),)
 
     def test_minimal(self):
         alloc = mapper.map_standard(StandardConv(k=1, c_in=1, c_out=1))
-        assert (alloc.rows_used, alloc.cols_used) == (1, 1)
+        assert alloc.regions == (Region(0, 0, 1, 1),)
 
 
 class TestDepthwiseMapping:
@@ -88,7 +84,7 @@ class TestJobStream:
 
     def test_pointwise_single_segment(self):
         stream = mapper.job_stream(PointwiseConv(32, 192),
-                                   TensorShape(4, 4, 32), mapper.POINTWISE)
+                                   TensorShape(4, 4, 32), mapper.STANDARD_IM2COL)
         for job in stream.jobs:
             assert len(job.segments) == 1
             assert job.segments[0].length == 32
@@ -115,7 +111,7 @@ class TestJobStream:
     @pytest.mark.parametrize("layer,strategy,shape", [
         (StandardConv(k=3, c_in=5, c_out=7, stride=2, pad=1),
          mapper.STANDARD_IM2COL, TensorShape(9, 7, 5)),
-        (PointwiseConv(6, 11), mapper.POINTWISE, TensorShape(5, 5, 6)),
+        (PointwiseConv(6, 11), mapper.STANDARD_IM2COL, TensorShape(5, 5, 6)),
         (DepthwiseConv(k=3, c=12, pad=1), depthwise_block(8), TensorShape(6, 6, 12)),
         (DepthwiseConv(k=2, c=7, stride=2), depthwise_block(3), TensorShape(8, 8, 7)),
     ])
@@ -201,7 +197,7 @@ class TestWeightMatrices:
 
     def test_pointwise_matrix_is_weights_unchanged(self):
         layer = PointwiseConv(c_in=3, c_out=5)
-        alloc = mapper.map_layer(layer, mapper.POINTWISE)
+        alloc = mapper.map_layer(layer, mapper.STANDARD_IM2COL)
         w = np.arange(15).reshape(3, 5) % 16 - 8
         m = mapper.region_weight_matrix(alloc, w)
         assert m.shape == (3, 5)
@@ -209,7 +205,7 @@ class TestWeightMatrices:
 
     @pytest.mark.parametrize("layer,strategy,bad_shape", [
         (StandardConv(k=2, c_in=3, c_out=2), mapper.STANDARD_IM2COL, (12, 2)),
-        (PointwiseConv(c_in=3, c_out=2), mapper.POINTWISE, (2, 3)),
+        (PointwiseConv(c_in=3, c_out=2), mapper.STANDARD_IM2COL, (2, 3)),
         (DepthwiseConv(k=3, c=8), depthwise_block(4), (9, 8)),
     ], ids=["standard", "pointwise", "depthwise"])
     def test_misshaped_weights_rejected(self, layer, strategy, bad_shape):
@@ -234,8 +230,7 @@ def test_network_device_count_small():
 def test_uniform_policy_caps_cjob_at_channel_count():
     policy = mapper.uniform_policy(16)
     strategy = policy(DepthwiseConv(k=3, c=8))
-    assert strategy.kind is StrategyKind.DEPTHWISE_BLOCK
-    assert strategy.c_job == 8
+    assert strategy == depthwise_block(8)
 
 
 def test_strategy_layer_mismatch_rejected():
@@ -243,3 +238,29 @@ def test_strategy_layer_mismatch_rejected():
         mapper.map_layer(PointwiseConv(4, 4), depthwise_block(2))
     with pytest.raises(ValueError):
         mapper.map_layer(DepthwiseConv(k=3, c=4), mapper.STANDARD_IM2COL)
+
+
+def _accepts(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("layer", [
+    StandardConv(k=3, c_in=4, c_out=4, pad=1), PointwiseConv(4, 4),
+    DepthwiseConv(k=3, c=4, pad=1)], ids=["standard", "pointwise", "depthwise"])
+@pytest.mark.parametrize("strategy", [
+    mapper.STANDARD_IM2COL, depthwise_block(1), depthwise_block(2),
+    depthwise_block(4), depthwise_block(5)],
+    ids=["dense", "cjob1", "cjob2", "cjob4", "cjob5"])
+def test_strategy_checks_agree(layer, strategy):
+    # depthwise layers, and only they, take a c_job, of at most c
+    shape = TensorShape(6, 6, 4)
+    verdicts = {_accepts(mapper.map_layer, layer, strategy),
+                _accepts(mapper.job_stream, layer, shape, strategy),
+                _accepts(mapper.stream_geometry, layer, shape, strategy)}
+    expect = (isinstance(layer, DepthwiseConv) and strategy.c_job <= 4) \
+        if strategy.c_job else not isinstance(layer, DepthwiseConv)
+    assert verdicts == {expect}

@@ -292,7 +292,7 @@ def random_geometry(rng: np.random.Generator, kind: str):
     if kind == "pointwise":
         k, stride, pad = 1, 1, 0
         layer = PointwiseConv(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
-        strategy = mapper.POINTWISE
+        strategy = mapper.STANDARD_IM2COL
     else:
         k = int(rng.choice([1, 3, 5]))
         stride = int(rng.integers(1, 4))

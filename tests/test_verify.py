@@ -88,10 +88,10 @@ class TestEquivalence:
         inp = u8(rng.integers(1, 256, size=(3, 3, 4)))
         w = rng.integers(1, 8, size=(4, 4))
         adc = AdcConfig(0.01)
-        alloc = mapper.map_layer(layer, mapper.POINTWISE)
+        alloc = mapper.map_layer(layer, mapper.STANDARD_IM2COL)
         arrays = verify.program_allocation(alloc, w)
         arrays[0].weights[2, 1] = -7  # fault injection
-        stream = mapper.job_stream(layer, inp.shape, mapper.POINTWISE)
+        stream = mapper.job_stream(layer, inp.shape, mapper.STANDARD_IM2COL)
         got = verify.execute_job_stream(arrays, stream, inp, adc)
         want = reference_conv(layer, inp, w, adc)
         mismatches = np.argwhere(got.data != want.data)
@@ -106,13 +106,13 @@ class TestEquivalence:
         w_good = np.array([[3, 1], [2, 5]])
         w_bad = np.array([[3, 1], [2, -5]])
         adc = AdcConfig(0.01)
-        alloc = mapper.map_layer(layer, mapper.POINTWISE)
+        alloc = mapper.map_layer(layer, mapper.STANDARD_IM2COL)
         arrays = verify.program_allocation(alloc, w_bad)
-        stream = mapper.job_stream(layer, inp.shape, mapper.POINTWISE)
+        stream = mapper.job_stream(layer, inp.shape, mapper.STANDARD_IM2COL)
         got = verify.execute_job_stream(arrays, stream, inp, adc)
         want = reference_conv(layer, inp, w_good, adc)
         assert not np.array_equal(got.data, want.data)
-        result = check_equivalence(layer, mapper.POINTWISE, inp, w_good, adc)
+        result = check_equivalence(layer, mapper.STANDARD_IM2COL, inp, w_good, adc)
         assert result.ok  # uncorrupted path still matches
 
 
@@ -135,15 +135,15 @@ def test_noise_statistical_smoke():
     inp = u8(rng.integers(0, 256, size=(4, 4, 8)))
     w = rng.integers(-8, 8, size=(8, 4))
     adc = AdcConfig(0.02)
-    alloc = mapper.map_layer(layer, mapper.POINTWISE)
+    alloc = mapper.map_layer(layer, mapper.STANDARD_IM2COL)
     clean = verify.execute_job_stream(verify.program_allocation(alloc, w),
                                       mapper.job_stream(layer, inp.shape,
-                                                        mapper.POINTWISE),
+                                                        mapper.STANDARD_IM2COL),
                                       inp, adc)
     noisy_arrays = verify.program_allocation(alloc, w, noise_sigma=0.2, seed=1)
     noisy = verify.execute_job_stream(noisy_arrays,
                                       mapper.job_stream(layer, inp.shape,
-                                                        mapper.POINTWISE),
+                                                        mapper.STANDARD_IM2COL),
                                       inp, adc)
     diff = np.abs(clean.data.astype(int) - noisy.data.astype(int))
     assert diff.mean() < 10  # perturbed, not destroyed
@@ -153,12 +153,11 @@ def test_noise_statistical_smoke():
 
 def execute_per_job(arrays, stream, inp, adc) -> np.ndarray:
     """The obvious emulation: one gathered input and one 1-D mvm per job."""
-    depthwise = stream.strategy.kind is mapper.StrategyKind.DEPTHWISE_BLOCK
     shape = stream.out_shape
     out = np.zeros(shape.size_bytes, dtype=np.int8)
     for job in stream.jobs:
         arr = arrays[job.region_id]
-        col_base = job.region_id * arr.cols if depthwise else 0
+        col_base = job.out_offset % shape.channels  # first output channel
         y = arr.mvm(verify.gather_job_input(job, inp.flat),
                     adc.slice(col_base, col_base + arr.cols))
         out[job.out_offset:job.out_offset + job.out_length] = \
