@@ -12,10 +12,10 @@ With noise disabled the two paths must agree bit for bit on every layer
 kind, including padded borders and partial depthwise channel groups.
 
 `execute_job_stream` runs a layer region by region: one gather of the
-region's inputs through `mapper.gather_indices` and one batched `mvm` call
-(a few, in bounded chunks, under read noise). Jobs reach each region's
-array in stream order, so seeded noise draws match those of one `mvm` call
-per job; `gather_job_input` is that per-job path's building block.
+region's inputs through `mapper.gather_indices` and one batched `mvm` call,
+noisy or not. Jobs reach each region's array in stream order, so seeded
+noise draws match those of one `mvm` call per job; `gather_job_input` is
+that per-job path's building block.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ from .xbar import (
 
 # upper bound on one bitline accumulation; must stay well inside int64
 _ACC_BOUND = 2**53
-# read-noise cells drawn per batched mvm call: 512 kB per float64 temporary
-_NOISE_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,12 +160,8 @@ def execute_job_stream(arrays: list[ProgrammedArray], stream: JobStream,
         col_base = g * arr.cols
         real = min(arr.cols, out_shape.channels - col_base)
         region_adc = adc.slice(col_base, col_base + arr.cols)
-        x = flat_in[index]
-        chunk = max(1, _NOISE_CHUNK_CELLS // (arr.rows * arr.cols)) \
-            if arr.noise_sigma > 0 else len(x)
-        for start in range(0, len(x), chunk):
-            y = arr.mvm(x[start:start + chunk], region_adc)
-            out[start:start + chunk, col_base:col_base + real] = y[:, :real]
+        y = arr.mvm(flat_in[index], region_adc)
+        out[:, col_base:col_base + real] = y[:, :real]
     return QuantTensor(out_shape,
                        out.reshape(out_shape.height, out_shape.width,
                                    out_shape.channels))

@@ -221,10 +221,18 @@ def default_bottleneck() -> BottleneckDescriptor:
                                 height=32, width=32)
 
 
+def _check_str(name: str, value) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class NamedLayer:
     name: str
     layer: LayerDescriptor
+
+    def __post_init__(self):
+        _check_str("layer name", self.name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,6 +240,9 @@ class NetworkDescriptor:
     name: str
     input_shape: TensorShape
     layers: tuple[NamedLayer, ...]
+
+    def __post_init__(self):
+        _check_str("network name", self.name)
 
     def without_stem_head(self) -> "NetworkDescriptor":
         """Bottleneck layers only (drops the 'stem' and 'head' entries)."""
@@ -357,7 +368,7 @@ def layer_from_dict(d: dict) -> LayerDescriptor:
     if "type" not in d:
         raise ValueError("layer is missing keys: ['type']")
     kind = d["type"]
-    if kind not in _LAYER_TYPES:
+    if not isinstance(kind, str) or kind not in _LAYER_TYPES:
         raise ValueError(f"unknown layer type {kind!r}")
     cls = _LAYER_TYPES[kind]
     required = tuple(f.name for f in fields(cls) if f.default is MISSING)

@@ -9,17 +9,25 @@ and clamping to produce an 8-bit signed output:
 
     y_i = clamp(round(s_i * sum_j A_ij * x_j), -128, 127)
 
-Accumulation is exact (64-bit integer) when noise is disabled, so repeated
-calls are deterministic and bit-identical to a direct integer reference.
-`mvm` takes one input vector or a batch of them; a batch of n behaves
-exactly as n successive single-vector calls, noise draws included.
+The integer accumulation is exact: it runs as a float64 matrix product, and
+every partial sum is an integer of magnitude at most rows * 255 * 8, far
+below 2**53. Noise-free calls are therefore deterministic and bit-identical
+to a direct integer reference. `mvm` takes one input vector or a batch of
+them; a batch of n behaves exactly as n successive single-vector calls,
+noise draws included.
 
 Two optional Gaussian noise terms model device non-ideality:
-- `program_sigma`: drawn once per cell at programming time (frozen write
-  error),
-- `noise_sigma`: drawn per mvm call (read noise).
-Noise applies to programmed cells only; unprogrammed cells read as exact 0.
-The RNG is owned by the array instance and is never shared implicitly.
+- `program_sigma`: drawn once per programmed cell at programming time
+  (frozen write error), region by region in row-major order;
+- `noise_sigma`: read noise, drawn per output column per input vector.
+  Column c's read-noise term sum_r mask_rc * n_rc * x_r, with iid
+  n_rc ~ N(0, noise_sigma**2) per cell, has exactly the distribution
+  N(0, noise_sigma**2 * sum_r mask_rc * x_r**2), so `mvm` draws one
+  standard normal z per column and adds noise_sigma * sqrt(var_c) * z, in
+  input-vector order.
+Noise applies to programmed cells only; unprogrammed cells read as exact 0
+and add no variance. The RNG is owned by the array instance and is never
+shared implicitly.
 """
 
 from __future__ import annotations
@@ -100,10 +108,18 @@ class AdcConfig:
         return AdcConfig(tuple(padded[start:stop]))
 
     def requantize(self, acc: np.ndarray) -> np.ndarray:
-        """Scale, round half away from zero, clamp. Returns int8."""
-        scaled = acc.astype(np.float64) * self.scales(acc.shape[-1])
-        rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-        return np.clip(rounded, self.lo, self.hi).astype(np.int8)
+        """Scale, round half away from zero, clamp. Returns int8.
+
+        Works in place on one float64 buffer besides the scaled values, so
+        a large batch adds little to peak memory.
+        """
+        scaled = acc * self.scales(acc.shape[-1])
+        r = np.abs(scaled)
+        r += 0.5
+        np.floor(r, out=r)
+        np.copysign(r, scaled, out=r)
+        np.clip(r, self.lo, self.hi, out=r)
+        return r.astype(np.int8)
 
 
 class ProgrammedArray:
@@ -163,11 +179,17 @@ class ProgrammedArray:
         """Crossbar operations y = requantize(W^T x): int8[cols] for one
         input vector x[rows], int8[n, cols] for a batch x[n, rows].
 
-        A single vector is a batch of one. Noise-free arrays accumulate in
-        exact 64-bit integers. With noise enabled the effective weight of
-        each programmed cell is perturbed and accumulation is done in
-        float64; read noise is one (n, rows, cols) draw, which yields the
-        same values, and leaves the same RNG state, as n successive calls.
+        A single vector is a batch of one. The accumulator is the sum of
+        - the integer product x @ W, computed in float64 and exact because
+          every partial sum is an integer of magnitude at most
+          rows * 255 * 8, far below 2**53;
+        - the frozen programming-noise term x @ P, computed per input
+          vector so that row i of a batch does not depend on n;
+        - read noise noise_sigma * sqrt(var) * z, where var = x**2 @ mask
+          is an exact sum over programmed cells (integers of at most
+          rows * 255**2) and z is one (n, cols) standard-normal draw.
+        Row i of a batch thus gets the same value, and the call leaves the
+        same RNG state, as the i-th of n successive single-vector calls.
         """
         xv = np.asarray(x)
         batch = np.atleast_2d(xv)
@@ -175,19 +197,13 @@ class ProgrammedArray:
             raise DimensionMismatch(f"input length {xv.shape} != rows {self.rows}")
         if xv.dtype != np.uint8 and (np.any(xv < 0) or np.any(xv > INPUT_MAX)):
             raise ValueError("inputs must be unsigned 8-bit values")
-        noisy = self.noise_sigma > 0 or self._program_noise is not None
-        if not noisy:
-            acc = batch.astype(np.int64) @ self.weights.astype(np.int64)
-        else:
-            w = self.weights.astype(np.float64)
-            if self._program_noise is not None:
-                w = w + self._program_noise
-            if self.noise_sigma > 0:
-                read_noise = self._rng.normal(
-                    0.0, self.noise_sigma,
-                    size=(len(batch), self.rows, self.cols)) * self.mask
-                w = w + read_noise
-            xf = batch.astype(np.float64)[:, :, None]
-            acc = (np.swapaxes(w, -1, -2) @ xf)[:, :, 0]
+        xf = batch.astype(np.float64)
+        acc = xf @ self.weights.astype(np.float64)
+        if self._program_noise is not None:
+            acc += (self._program_noise.T @ xf[:, :, None])[:, :, 0]
+        if self.noise_sigma > 0:
+            var = (xf * xf) @ self.mask.astype(np.float64)
+            acc += self.noise_sigma * np.sqrt(var) \
+                * self._rng.standard_normal((len(batch), self.cols))
         y = adc.requantize(acc)
         return y if xv.ndim == 2 else y[0]

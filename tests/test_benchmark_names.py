@@ -1,11 +1,15 @@
-"""The benchmark's traced names still exist in the package.
+"""The benchmark's traced names still exist in the package, and its
+`emulate` workload passes its gates.
 
 `benchmarks/run.py --trace 1` exits 1 when a per-layer metric of
 BENCHMARK.json has no value, which happens when a function it names is
 renamed or deleted, or when a counting hook no longer finds what it reads.
+An `emulate` pass fails when emulation stops being bit-exact, its outputs
+turn degenerate, or seeded noise stops moving or repeating them.
 """
 
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -16,12 +20,24 @@ from imasim.workload import DepthwiseConv, TensorShape
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer():
-    """benchmarks/tracer.py as a module, leaving no bytecode cache behind."""
-    path = ROOT / "benchmarks" / "tracer.py"
-    module = types.ModuleType("benchmark_tracer")
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+def _load_benchmark(name: str):
+    """benchmarks/<name>.py as a module, leaving no bytecode cache behind.
+
+    The module is registered while it runs, because `dataclass` looks its
+    defining module up in `sys.modules`.
+    """
+    path = ROOT / "benchmarks" / f"{name}.py"
+    module = types.ModuleType(f"benchmark_{name}")
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
     return module
+
+
+def _load_tracer():
+    return _load_benchmark("tracer")
 
 
 def test_traced_names_exist():
@@ -45,3 +61,10 @@ def test_traced_names_exist():
     finally:
         tracer.uninstall()
     assert not hasattr(mapper.job_stream, "__wrapped__")
+
+
+def test_emulate_pass_meets_its_gates():
+    workloads = _load_benchmark("workloads")
+    result = workloads.emulate_pass(workloads.emulate_setup(0))
+    assert result.attempted == 5
+    assert result.failed == 0, result.first_failure

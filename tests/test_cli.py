@@ -247,8 +247,16 @@ def _network_with_layer(index, layer):
     ("devices", "--network-file", _network(input_shape=[224, 224, 3])),
     ("devices", "--network-file", _network(layers=["stem"])),
     ("devices", "--network-file", _network_with_layer(0, "standard")),
+    ("devices", "--network-file",
+     _network_with_layer(0, {"type": ["standard"], "k": 3, "c_in": 3,
+                             "c_out": 32, "stride": 2, "pad": 1})),
+    ("devices", "--network-file", _network(name=[1])),
+    ("devices", "--network-file",
+     _network(layers=[{"name": 5, "layer": {"type": "pointwise",
+                                             "c_in": 3, "c_out": 8}}])),
 ], ids=["calibration", "calibration-section", "workload", "input-shape",
-        "network-entry", "layer"])
+        "network-entry", "layer", "layer-type", "network-name",
+        "layer-name"])
 def test_non_object_json_is_validation_error(capsys, tmp_path, command,
                                              option, content):
     path = tmp_path / "f.json"

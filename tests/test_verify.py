@@ -180,11 +180,7 @@ def _emulate_both(case, **noise):
     return runs
 
 
-@pytest.mark.parametrize("chunk_cells", [None, 1, 100])
-def test_batched_emulation_matches_per_job_path(monkeypatch, chunk_cells):
-    # chunk_cells forces noisy regions into one-job and few-job chunks
-    if chunk_cells is not None:
-        monkeypatch.setattr(verify, "_NOISE_CHUNK_CELLS", chunk_cells)
+def test_batched_emulation_matches_per_job_path():
     rng = np.random.default_rng(11)
     for i in range(60):
         case = verify.random_case(rng)

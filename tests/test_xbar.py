@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from imasim import mapper
+from imasim import mapper, workload
 from imasim.workload import DepthwiseConv, StandardConv
 from imasim.xbar import (
     DEVICES_PER_WEIGHT,
+    INPUT_MAX,
     OUT_MAX,
     OUT_MIN,
     AdcConfig,
@@ -13,6 +14,8 @@ from imasim.xbar import (
     Region,
     RegionOverflow,
     RegionOverlap,
+    WEIGHT_MAX,
+    WEIGHT_MIN,
     WeightOutOfRange,
 )
 
@@ -220,8 +223,9 @@ def test_batched_mvm_equals_successive_calls(noise):
 
 
 def test_noisy_mvm_draws_follow_the_seed():
-    # program noise at write time, then one rows x cols read-noise grid per
-    # input vector, masked to the programmed cells, all from one seeded RNG
+    # program noise at write time, then one cols-long standard-normal draw
+    # per input vector, scaled per column by the read-noise spread of the
+    # programmed cells the input drives, all from one seeded RNG
     arr = _array(noise_sigma=0.5, program_sigma=0.3, seed=8)
     rng = np.random.default_rng(8)
     program_noise = np.zeros((12, 6))
@@ -229,9 +233,12 @@ def test_noisy_mvm_draws_follow_the_seed():
     x = np.random.default_rng(23).integers(0, 256, size=(4, 12))
     adc = AdcConfig(0.02)
     for row, y in zip(x, arr.mvm(x.astype(np.uint8), adc)):
-        w = arr.weights + program_noise \
-            + rng.normal(0.0, 0.5, size=(12, 6)) * arr.mask
-        assert np.array_equal(y, adc.requantize(w.T @ row.astype(np.float64)))
+        xf = row.astype(np.float64)
+        spread = 0.5 * np.sqrt((xf * xf) @ arr.mask)
+        assert spread[5] == 0  # the unprogrammed column reads no noise
+        acc = xf @ arr.weights + program_noise.T @ xf \
+            + spread * rng.standard_normal(6)
+        assert np.array_equal(y, adc.requantize(acc))
 
 
 def test_batched_mvm_keeps_input_checks():
@@ -253,3 +260,151 @@ def test_adc_clamp_bounds_are_constants():
     assert (adc.slice(1, 3).lo, adc.slice(1, 3).hi) == (OUT_MIN, OUT_MAX)
     with pytest.raises(TypeError):
         AdcConfig(1.0, -5, 5)
+
+
+# --- read noise: per-column draw against the per-cell model -------------------
+
+def per_cell_mvm(arr: ProgrammedArray, x: np.ndarray, adc: AdcConfig,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The per-cell read-noise model that `mvm` replaces: a fresh rows x cols
+    N(0, noise_sigma^2) grid for the input vector, masked to the programmed
+    cells and added to the weights (arrays without programming noise)."""
+    w = arr.weights + rng.normal(0.0, arr.noise_sigma,
+                                 size=(arr.rows, arr.cols)) * arr.mask
+    return adc.requantize(w.T @ x.astype(np.float64))
+
+
+STAT_SEEDS = 2000
+
+
+def _partly_programmed(seed=0):
+    rng = np.random.default_rng(31)
+    arr = ProgrammedArray(16, 5, noise_sigma=1.0, seed=seed)
+    arr.program(Region(0, 0, 12, 4), rng.integers(-2, 3, size=(12, 4)))
+    arr.program(Region(12, 2, 4, 2), rng.integers(-2, 3, size=(4, 2)))
+    # rows 12-15 of columns 0 and 1, and all of column 4, unprogrammed
+    return arr
+
+
+def test_per_column_read_noise_matches_per_cell_model():
+    # the unprogrammed rows carry the largest inputs, so a variance that
+    # counted them would be several times too large
+    x = np.concatenate([np.random.default_rng(32).integers(0, 21, size=12),
+                        [40, 40, 40, 40]]).astype(np.uint8)
+    adc = AdcConfig(0.1)
+    per_column = np.array([_partly_programmed(seed).mvm(x, adc)
+                           for seed in range(STAT_SEEDS)], dtype=np.float64)
+    ref = _partly_programmed()
+    per_cell = np.array([per_cell_mvm(ref, x, adc, np.random.default_rng(seed))
+                         for seed in range(STAT_SEEDS)], dtype=np.float64)
+    n = STAT_SEEDS
+    for sample in (per_column, per_cell):
+        assert OUT_MIN < sample.min() and sample.max() < OUT_MAX  # no clamping
+        assert np.all(sample[:, :4].var(axis=0) > 4)  # noise spans several codes
+        assert np.all(sample[:, 4] == 0)  # unprogrammed column: no noise
+        # distinct noisy columns are uncorrelated
+        corr = np.corrcoef(sample[:, :4], rowvar=False)
+        assert np.all(np.abs(corr[np.triu_indices(4, 1)]) < 4 / np.sqrt(n))
+    mean_a, mean_b = per_column.mean(axis=0), per_cell.mean(axis=0)
+    var_a, var_b = per_column.var(axis=0, ddof=1), per_cell.var(axis=0, ddof=1)
+    se_mean = np.sqrt((var_a + var_b) / n)
+    assert np.all(np.abs(mean_a - mean_b) <= 4 * se_mean)
+    # standard error of a sample variance: sqrt((m4 - var^2) / n)
+    m4_a = ((per_column - mean_a) ** 4).mean(axis=0)
+    m4_b = ((per_cell - mean_b) ** 4).mean(axis=0)
+    se_var = np.sqrt((m4_a - var_a ** 2 + m4_b - var_b ** 2) / n)
+    assert np.all(np.abs(var_a - var_b) <= 4 * se_var)
+
+
+# --- exactness of the float64 accumulation and in-place requantization --------
+
+class _RecordingAdc:
+    """Stands in for an AdcConfig and keeps the accumulator `mvm` hands it."""
+
+    def requantize(self, acc):
+        self.acc = acc
+        return ADC1.requantize(acc)
+
+
+def _tallest_mobilenet_region() -> Region:
+    """The tallest array region any MobileNetV2 layer maps to: a full-diagonal
+    depthwise layer (9 * c rows) at the widest multiplier."""
+    return max((region
+                for m in (0.35, 0.5, 0.75, 1.0, 1.3, 1.4)
+                for nl in workload.mobilenet_v2_preset(m).layers
+                for region in mapper.map_layer(
+                    nl.layer, mapper.default_strategy(nl.layer)).regions),
+               key=lambda region: region.rows)
+
+
+@pytest.mark.parametrize("weight", [WEIGHT_MIN, WEIGHT_MAX])
+def test_worst_case_accumulation_is_exact(weight):
+    rows = _tallest_mobilenet_region().rows
+    assert rows == 9 * 1344  # the 960-channel depthwise layer at width 1.4
+    arr = ProgrammedArray(rows, 3)
+    arr.program(Region(0, 0, rows, 3), np.full((rows, 3), weight))
+    # all-255 rows reach the largest magnitude; rows of random inputs near
+    # 255 keep nearly as large sums whose low bits are all significant
+    x = np.full((16, rows), INPUT_MAX, dtype=np.uint8)
+    x[8:] = np.random.default_rng(34).integers(INPUT_MAX - 15, INPUT_MAX + 1,
+                                               size=(8, rows))
+    adc = _RecordingAdc()
+    arr.mvm(x, adc)
+    exact = x.astype(np.int64) @ arr.weights.astype(np.int64)
+    assert np.all(exact[:8] == rows * INPUT_MAX * weight)
+    assert np.array_equal(adc.acc.astype(np.int64), exact)
+    assert np.array_equal(adc.acc, exact.astype(np.float64))
+
+
+def requantize_oracle(adc: AdcConfig, acc: np.ndarray) -> np.ndarray:
+    """The original requantization: sign(s) * floor(|s| + 0.5), clamped."""
+    scaled = acc.astype(np.float64) * adc.scales(acc.shape[-1])
+    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    return np.clip(rounded, adc.lo, adc.hi).astype(np.int8)
+
+
+_SCALES = (1.0, 0.5, 0.25, 2.0, 0.03, 0.011)
+
+
+def _accumulators(rng, dtype, shape) -> np.ndarray:
+    """Random accumulators salted with exact .5 ties (under power-of-two
+    scales), signed zeros and values beyond both clamp bounds."""
+    if dtype is np.int64:
+        specials = np.array([0, 1, -1, 255, -255, 257, -257, 2**40, -2**40])
+        values = rng.integers(-600, 600, size=shape)
+    else:
+        specials = np.array([0.0, -0.0, 0.5, -0.5, 126.5, 127.5, -127.5,
+                             -128.5, 0.49999999999999994,
+                             -0.49999999999999994, 1e300, -1e300])
+        values = rng.uniform(-600, 600, size=shape)
+        ties = rng.random(shape) < 0.3
+        values[ties] = np.round(values[ties]) + 0.5
+    salt = rng.random(shape) < 0.3
+    values[salt] = rng.choice(specials, size=int(salt.sum()))
+    return values.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (5, 7)])
+@pytest.mark.parametrize("per_column", [False, True])
+def test_requantize_matches_sign_floor_expression(dtype, shape, per_column):
+    rng = np.random.default_rng(33)
+    seen = {"tie": 0, "-0.0": 0, "above": 0, "below": 0}
+    for _ in range(300):
+        scale = tuple(float(s) for s in rng.choice(_SCALES, size=shape[-1])) \
+            if per_column else float(rng.choice(_SCALES))
+        adc = AdcConfig(scale)
+        acc = _accumulators(rng, dtype, shape)
+        before = acc.copy()
+        got = adc.requantize(acc)
+        assert got.dtype == np.int8 and got.shape == shape
+        assert np.array_equal(got, requantize_oracle(adc, acc))
+        assert np.array_equal(acc, before)  # the caller's array is untouched
+        scaled = acc.astype(np.float64) * adc.scales(shape[-1])
+        seen["tie"] += np.count_nonzero(np.abs(scaled) % 1 == 0.5)
+        seen["-0.0"] += np.count_nonzero((scaled == 0) & np.signbit(scaled))
+        seen["above"] += np.count_nonzero(scaled > OUT_MAX + 0.5)
+        seen["below"] += np.count_nonzero(scaled < OUT_MIN - 0.5)
+    if dtype is np.int64:
+        del seen["-0.0"]  # an integer accumulator has no negative zero
+    assert all(seen.values()), seen
