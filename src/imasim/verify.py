@@ -1,9 +1,12 @@
 """Independent integer golden model and end-to-end equivalence checking.
 
-`reference_conv` computes a quantized convolution the direct way: nested
-loops over output pixels and filter taps with exact 64-bit accumulation,
-then the same ADC scale/round/clamp policy the crossbar applies. It never
-touches the mapper or the crossbar, so comparing it against the emulated
+`reference_conv` computes a quantized convolution the direct way: for each
+of the k*k filter taps, one strided slice of the zero-padded input times
+that tap's weights, summed over the output grid in float64, then the same
+ADC scale/round/clamp policy the crossbar applies. The sum is exact: every
+partial sum is an integer of magnitude at most k*k*c_in*8*255, and layers
+whose bound reaches 2**53 are rejected. It never touches the mapper, its
+gather index or the crossbar, so comparing it against the emulated
 pipeline (program regions -> stream jobs -> mvm -> assemble output)
 validates the mapping and streaming machinery, not the requantization
 choice.
@@ -41,6 +44,7 @@ from .workload import (
     weight_shape,
 )
 from .xbar import (
+    INPUT_MAX,
     WEIGHT_MAX,
     WEIGHT_MIN,
     AdcConfig,
@@ -48,8 +52,11 @@ from .xbar import (
     Region,
 )
 
-# upper bound on one bitline accumulation; must stay well inside int64
+# Every partial sum of a reference accumulation is an integer of magnitude
+# at most k*k*c_in*_WEIGHT_MAG*INPUT_MAX; below _ACC_BOUND float64 holds it
+# exactly, in any summation order.
 _ACC_BOUND = 2**53
+_WEIGHT_MAG = max(-WEIGHT_MIN, WEIGHT_MAX)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,39 +84,37 @@ def reference_conv(layer: LayerDescriptor, inp: QuantTensor, weights,
     """Direct quantized convolution with exact wide accumulation.
 
     Weights have the canonical layout of `workload.weight_shape`, as in
-    `mapper.region_weight_matrix`.
+    `mapper.region_weight_matrix`. Each filter tap (ky, kx) adds its strided
+    slice of the zero-padded input times that tap's weights to one float64
+    accumulator, which the ADC policy then requantizes in one call.
     """
+    k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
+    if k * k * in_channels(layer) * _WEIGHT_MAG * INPUT_MAX >= _ACC_BOUND:
+        raise ValueError("accumulator bound exceeded for this layer size")
     w = np.asarray(weights, dtype=np.int64)
+    if w.shape != weight_shape(layer):
+        raise ValueError(f"weights of shape {w.shape}, expected "
+                         f"{weight_shape(layer)}")
     if np.any(w < WEIGHT_MIN) or np.any(w > WEIGHT_MAX):
         raise ValueError("weights outside the 4-bit signed range")
     out_shape = output_shape(layer, inp.shape)
-    x = inp.data.astype(np.int64)
-    k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
-    if k * k * in_channels(layer) * WEIGHT_MAX * 255 >= _ACC_BOUND:
-        raise ValueError("accumulator bound exceeded for this layer size")
-    h, wdt = inp.shape.height, inp.shape.width
-    out = np.zeros((out_shape.height, out_shape.width, out_shape.channels),
-                   dtype=np.int8)
-    for oy in range(out_shape.height):
-        for ox in range(out_shape.width):
-            acc = np.zeros(out_shape.channels, dtype=np.int64)
-            for ky in range(k):
-                iy = oy * stride - pad + ky
-                if not 0 <= iy < h:
-                    continue
-                for kx in range(k):
-                    ix = ox * stride - pad + kx
-                    if not 0 <= ix < wdt:
-                        continue
-                    pix = x[iy, ix]
-                    if isinstance(layer, DepthwiseConv):
-                        acc += w[ky, kx] * pix
-                    elif isinstance(layer, PointwiseConv):
-                        acc += pix @ w
-                    else:
-                        acc += pix @ w[ky, kx]
-            out[oy, ox] = adc.requantize(acc)
-    return QuantTensor(out_shape, out)
+    oh, ow, c_out = out_shape.height, out_shape.width, out_shape.channels
+    h, wdt, c_in = inp.data.shape
+    depthwise = isinstance(layer, DepthwiseConv)
+    tap_shape = (c_out,) if depthwise else (c_in, c_out)
+    w = w.reshape((k, k) + tap_shape).astype(np.float64)
+    x = np.zeros((h + 2 * pad, wdt + 2 * pad, c_in), dtype=inp.data.dtype)
+    x[pad:pad + h, pad:pad + wdt] = inp.data
+    acc = np.zeros((oh, ow, c_out))
+    for ky in range(k):
+        for kx in range(k):
+            tap = x[ky:ky + (oh - 1) * stride + 1:stride,
+                    kx:kx + (ow - 1) * stride + 1:stride]
+            if depthwise:
+                acc += tap * w[ky, kx]
+            else:
+                acc += tap @ w[ky, kx]
+    return QuantTensor(out_shape, adc.requantize(acc))
 
 
 def program_allocation(alloc: CrossbarAllocation, weights, *,
@@ -199,15 +204,19 @@ def check_equivalence(layer: LayerDescriptor, strategy: MappingStrategy,
 
 # --- randomized suite ---------------------------------------------------------
 
+_KINDS = ("standard", "pointwise", "depthwise")
+_SCALE_POOL = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03, 0.011)
+
+
 def random_case(rng: np.random.Generator):
     """One random (layer, strategy, input, weights, adc) quintuple.
 
     Dimensions are kept small; the draw covers standard, pointwise and
     depthwise layers, strides, padded borders, and depthwise channel groups
-    that do not divide the channel count.
+    that do not divide the channel count. Inputs are uint8 and weights
+    int8, so a large suite drawn up front stays small.
     """
-    kind = rng.choice(["standard", "pointwise", "depthwise"])
-    scale_pool = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03, 0.011)
+    kind = _KINDS[rng.integers(len(_KINDS))]
     strategy = mapper.STANDARD_IM2COL
     if kind == "pointwise":
         c_in = int(rng.integers(1, 9))
@@ -231,9 +240,10 @@ def random_case(rng: np.random.Generator):
     w = int(rng.integers(k, k + 5))
     c_in = in_channels(layer)
     data = rng.integers(0, 256, size=(h, w, c_in)).astype(np.uint8)
-    weights = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1, size=weight_shape(layer))
-    scales = tuple(float(rng.choice(scale_pool))
-                   for _ in range(out_channels(layer)))
+    weights = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1,
+                           size=weight_shape(layer)).astype(np.int8)
+    scales = tuple(_SCALE_POOL[i] for i in
+                   rng.integers(len(_SCALE_POOL), size=out_channels(layer)))
     return layer, strategy, quant_tensor(data), weights, AdcConfig(scales)
 
 

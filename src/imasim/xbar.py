@@ -110,14 +110,15 @@ class AdcConfig:
     def requantize(self, acc: np.ndarray) -> np.ndarray:
         """Scale, round half away from zero, clamp. Returns int8.
 
-        Works in place on one float64 buffer besides the scaled values, so
-        a large batch adds little to peak memory.
+        Works in place on one float64 buffer, so a large batch adds one
+        accumulator-sized array to peak memory. The scales are positive,
+        so |acc| * s is |acc * s| and acc carries the sign.
         """
-        scaled = acc * self.scales(acc.shape[-1])
-        r = np.abs(scaled)
+        r = np.abs(acc, dtype=np.float64)
+        r *= self.scales(acc.shape[-1])
         r += 0.5
         np.floor(r, out=r)
-        np.copysign(r, scaled, out=r)
+        np.copysign(r, acc, out=r)
         np.clip(r, self.lo, self.hi, out=r)
         return r.astype(np.int8)
 

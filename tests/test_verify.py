@@ -9,8 +9,20 @@ from imasim.verify import (
     reference_conv,
     run_random_suite,
 )
-from imasim.workload import DepthwiseConv, PointwiseConv, StandardConv
-from imasim.xbar import OUT_MAX, OUT_MIN, AdcConfig
+from imasim.workload import (
+    DepthwiseConv,
+    PointwiseConv,
+    StandardConv,
+    TensorShape,
+)
+from imasim.xbar import (
+    INPUT_MAX,
+    OUT_MAX,
+    OUT_MIN,
+    WEIGHT_MAX,
+    WEIGHT_MIN,
+    AdcConfig,
+)
 
 ADC1 = AdcConfig(1.0)
 
@@ -52,6 +64,30 @@ class TestReferenceConv:
         monkeypatch.setattr(verify, "_ACC_BOUND", 10)
         with pytest.raises(ValueError):
             reference_conv(PointwiseConv(1, 1), u8([[[1]]]), [[1]], ADC1)
+
+    def test_accumulator_guard_counts_the_weight_minus_8(self):
+        # the largest weight magnitude is -WEIGHT_MIN = 8: this layer fits
+        # a 7-based bound but not the true one, and is rejected from its
+        # geometry alone, before any input or weight is read
+        c_in = -(-2**53 // (-WEIGHT_MIN * INPUT_MAX))
+        assert c_in * WEIGHT_MAX * INPUT_MAX < 2**53 <= \
+            c_in * -WEIGHT_MIN * INPUT_MAX
+        layer = StandardConv(k=1, c_in=c_in, c_out=1)
+        inp = QuantTensor(TensorShape(1, 1, c_in),
+                          np.broadcast_to(np.uint8(0), (1, 1, c_in)))
+        weights = np.broadcast_to(np.int64(0), (1, 1, c_in, 1))
+        with pytest.raises(ValueError, match="accumulator bound"):
+            reference_conv(layer, inp, weights, ADC1)
+
+    def test_weight_shape_enforced(self):
+        with pytest.raises(ValueError, match="weights of shape"):
+            reference_conv(StandardConv(k=3, c_in=2, c_out=2),
+                           u8(np.zeros((3, 3, 2))),
+                           np.zeros((3, 3, 2, 1), dtype=int), ADC1)
+
+    def test_independent_of_the_gather_index(self):
+        names = reference_conv.__code__.co_names
+        assert "mapper" not in names and "gather_indices" not in names
 
 
 class TestEquivalence:
@@ -216,24 +252,189 @@ def _full_scale_adc(layer, rng) -> AdcConfig:
     return AdcConfig(tuple(float(f) * 127 / full_scale for f in factors))
 
 
+def _assert_emulation_bit_exact(layer, strategy, inp, w, adc):
+    """Emulate one layer without noise and require the reference's output,
+    which must not be mostly zero or clamped: a bit-exact match on such an
+    output proves little."""
+    alloc = mapper.map_layer(layer, strategy)
+    got = verify.execute_job_stream(
+        verify.program_allocation(alloc, w),
+        mapper.job_stream(layer, inp.shape, strategy), inp, adc)
+    want = reference_conv(layer, inp, w, adc)
+    assert np.array_equal(got.data, want.data), layer
+    assert np.mean(want.data == 0) < 0.25, layer
+    assert np.mean((want.data == OUT_MIN) | (want.data == OUT_MAX)) < 0.25, \
+        layer
+
+
+def _random_layer_inputs(layer, shape, rng):
+    inp = u8(rng.integers(0, 256, size=(shape.height, shape.width,
+                                        shape.channels)))
+    w = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1,
+                     size=workload.weight_shape(layer))
+    return inp, w, _full_scale_adc(layer, rng)
+
+
 @pytest.mark.parametrize("plan", [timing.Plan.IMA8, timing.Plan.IMA16])
 def test_default_bottleneck_layers_bit_exact(plan):
     rng = np.random.default_rng(13)
     b = workload.default_bottleneck()
     shape = b.input_shape
     for layer in b.expand():
-        inp = u8(rng.integers(0, 256, size=(shape.height, shape.width,
-                                            shape.channels)))
-        w = rng.integers(-8, 8, size=workload.weight_shape(layer))
-        adc = _full_scale_adc(layer, rng)
-        strategy = timing.plan_strategy(plan, layer)
-        alloc = mapper.map_layer(layer, strategy)
-        got = verify.execute_job_stream(
-            verify.program_allocation(alloc, w),
-            mapper.job_stream(layer, inp.shape, strategy), inp, adc)
-        want = reference_conv(layer, inp, w, adc)
-        assert np.array_equal(got.data, want.data), (plan, layer)
-        # a bit-exact match on mostly zero or clamped outputs proves little
-        assert np.mean(want.data == 0) < 0.25
-        assert np.mean((want.data == OUT_MIN) | (want.data == OUT_MAX)) < 0.25
+        inp, w, adc = _random_layer_inputs(layer, shape, rng)
+        _assert_emulation_bit_exact(layer, timing.plan_strategy(plan, layer),
+                                    inp, w, adc)
         shape = workload.output_shape(layer, shape)
+
+
+def test_mobilenet_v2_layers_bit_exact():
+    # every layer of the whole network at full size, depthwise layers in
+    # channel groups of 16
+    rng = np.random.default_rng(14)
+    net = workload.mobilenet_v2_preset()
+    assert len(net.layers) == 52
+    shape = net.input_shape
+    for named in net.layers:
+        layer = named.layer
+        inp, w, adc = _random_layer_inputs(layer, shape, rng)
+        _assert_emulation_bit_exact(layer, mapper.default_strategy(layer, 16),
+                                    inp, w, adc)
+        shape = workload.output_shape(layer, shape)
+
+
+# --- the vectorised reference against the direct loop ----------------------------
+
+def reference_conv_loop(layer, inp, weights, adc) -> np.ndarray:
+    """The obvious golden model: loops over output pixels and filter taps,
+    exact int64 accumulation and one requantization per pixel."""
+    w = np.asarray(weights, dtype=np.int64)
+    out_shape = workload.output_shape(layer, inp.shape)
+    x = inp.data.astype(np.int64)
+    k = workload.kernel_size(layer)
+    stride, pad = workload.layer_stride(layer), workload.layer_pad(layer)
+    h, wdt = inp.shape.height, inp.shape.width
+    out = np.zeros((out_shape.height, out_shape.width, out_shape.channels),
+                   dtype=np.int8)
+    for oy in range(out_shape.height):
+        for ox in range(out_shape.width):
+            acc = np.zeros(out_shape.channels, dtype=np.int64)
+            for ky in range(k):
+                iy = oy * stride - pad + ky
+                if not 0 <= iy < h:
+                    continue
+                for kx in range(k):
+                    ix = ox * stride - pad + kx
+                    if not 0 <= ix < wdt:
+                        continue
+                    pix = x[iy, ix]
+                    if isinstance(layer, DepthwiseConv):
+                        acc += w[ky, kx] * pix
+                    elif isinstance(layer, PointwiseConv):
+                        acc += pix @ w
+                    else:
+                        acc += pix @ w[ky, kx]
+            out[oy, ox] = adc.requantize(acc)
+    return out
+
+
+def _assert_reference_matches_loop(layer, inp, weights, adc):
+    data, w = inp.data.copy(), np.array(weights, copy=True)
+    got = reference_conv(layer, inp, weights, adc)
+    assert got.data.dtype == np.int8
+    assert np.array_equal(got.data, reference_conv_loop(layer, inp, w, adc)), \
+        layer
+    # neither the input tensor nor the weights are written
+    assert np.array_equal(inp.data, data) and inp.data.dtype == data.dtype
+    assert np.array_equal(weights, w)
+
+
+def test_reference_matches_loop_on_random_cases():
+    rng = np.random.default_rng(15)
+    for _ in range(2000):
+        layer, _, inp, weights, adc = verify.random_case(rng)
+        _assert_reference_matches_loop(layer, inp, weights, adc)
+
+
+def test_reference_matches_loop_on_default_bottleneck():
+    rng = np.random.default_rng(16)
+    b = workload.default_bottleneck()
+    shape = b.input_shape
+    for layer in b.expand():
+        _assert_reference_matches_loop(layer,
+                                       *_random_layer_inputs(layer, shape, rng))
+        shape = workload.output_shape(layer, shape)
+
+
+@pytest.mark.parametrize("layer", [
+    StandardConv(k=3, c_in=64, c_out=3, stride=1, pad=1),
+    StandardConv(k=3, c_in=5, c_out=2, stride=2, pad=1),
+    PointwiseConv(c_in=320, c_out=4),
+    DepthwiseConv(k=3, c=6, stride=2, pad=1),
+])
+@pytest.mark.parametrize("weight", [WEIGHT_MIN, WEIGHT_MAX])
+def test_reference_worst_case_accumulation(layer, weight):
+    # every tap at full input and the extreme weight: the largest
+    # accumulator magnitudes the layer can reach
+    k = workload.kernel_size(layer)
+    fan_in = k * k * (1 if isinstance(layer, DepthwiseConv)
+                      else workload.in_channels(layer))
+    inp = u8(np.full((6, 6, workload.in_channels(layer)), INPUT_MAX))
+    weights = np.full(workload.weight_shape(layer), weight)
+    # a power-of-two scale keeps the full-window sum in range and exact
+    scale = 2.0 ** -int(np.ceil(np.log2(fan_in * 8 * INPUT_MAX / 100)))
+    adc = AdcConfig(scale)
+    _assert_reference_matches_loop(layer, inp, weights, adc)
+    full = fan_in * weight * INPUT_MAX * scale
+    interior = reference_conv(layer, inp, weights, adc).data[1, 1]
+    assert np.all(interior == np.sign(full) * np.floor(abs(full) + 0.5))
+
+
+# --- random_case against rng.choice draws ----------------------------------------
+
+def random_case_choice(rng: np.random.Generator):
+    """`verify.random_case` as first written, drawing with `rng.choice`."""
+    kind = rng.choice(["standard", "pointwise", "depthwise"])
+    scale_pool = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03, 0.011)
+    strategy = mapper.STANDARD_IM2COL
+    if kind == "pointwise":
+        c_in = int(rng.integers(1, 9))
+        c_out = int(rng.integers(1, 9))
+        layer = PointwiseConv(c_in=c_in, c_out=c_out)
+        k, pad = 1, 0
+    elif kind == "standard":
+        k = int(rng.integers(1, 4))
+        c_in = int(rng.integers(1, 7))
+        c_out = int(rng.integers(1, 7))
+        pad = int(rng.integers(0, 2))
+        layer = StandardConv(k=k, c_in=c_in, c_out=c_out,
+                             stride=int(rng.integers(1, 3)), pad=pad)
+    else:
+        k = int(rng.integers(2, 4))
+        c = int(rng.integers(1, 13))
+        pad = int(rng.integers(0, 2))
+        layer = DepthwiseConv(k=k, c=c, stride=int(rng.integers(1, 3)), pad=pad)
+        strategy = mapper.depthwise_block(int(rng.integers(1, c + 1)))
+    h = int(rng.integers(k, k + 5))
+    w = int(rng.integers(k, k + 5))
+    c_in = workload.in_channels(layer)
+    data = rng.integers(0, 256, size=(h, w, c_in)).astype(np.uint8)
+    weights = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1,
+                           size=workload.weight_shape(layer))
+    scales = tuple(float(rng.choice(scale_pool))
+                   for _ in range(workload.out_channels(layer)))
+    return layer, strategy, quant_tensor(data), weights, AdcConfig(scales)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2021])
+def test_random_case_matches_choice_draws(seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5000):
+        layer, strategy, inp, weights, adc = verify.random_case(fast)
+        layer_c, strategy_c, inp_c, weights_c, adc_c = random_case_choice(slow)
+        assert (layer, strategy) == (layer_c, strategy_c)
+        assert inp.data.dtype == inp_c.data.dtype
+        assert np.array_equal(inp.data, inp_c.data)
+        assert weights.dtype == np.int8  # the same values, stored small
+        assert np.array_equal(weights, weights_c)
+        assert adc.scale == adc_c.scale
+    assert fast.bit_generator.state == slow.bit_generator.state
