@@ -128,7 +128,11 @@ def cmd_simulate(args) -> int:
     b = _load_bottleneck(args)
     plan = _parse_plan(args.plan)
     ports = _parse_ports(args.ports)
-    schedule = timing.bottleneck_schedule(b, plan, ports, cal.ima, cal.cluster)
+    try:
+        schedule = timing.bottleneck_schedule(b, plan, ports, cal.ima,
+                                              cal.cluster)
+    except ValueError as e:
+        raise ValidationError(f"bad calibration: {e}") from None
     allocations = timing.plan_allocations(b, plan)
     rep = metrics.report(schedule, allocations, cal.area, cal.energy)
     if args.format == "json":
@@ -177,7 +181,10 @@ def cmd_sweep(args) -> int:
     cal = _load_calibration(args.calibration, args.set)
     b = _load_bottleneck(args)
     spec = dse.SweepSpec(workload=b, calibration=cal)
-    rows = dse.run_sweep(spec)
+    try:
+        rows = dse.run_sweep(spec)
+    except ValueError as e:
+        raise ValidationError(f"bad calibration: {e}") from None
     out = args.out or f"sweep.{args.format}"
     dse.emit(rows, out, args.format)
     best = dse.best_by(rows, "gops")

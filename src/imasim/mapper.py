@@ -28,7 +28,12 @@ but they still occupy DAC rows. Stream traffic therefore depends only on
 layer geometry, and `stream_geometry` gives it in closed form: with T the
 in-bounds taps summed over output pixels (the product of the per-axis
 sums) and P the output pixel count, group g fetches T slices of real_g
-bytes and writes P slices of out_g bytes, in P jobs per group.
+bytes and writes P slices of out_g bytes, in P jobs per group. Along an
+axis of `size` inputs, tap t of output o reads input o*stride - pad + t,
+in bounds for o from ceil((pad - t) / stride) to
+floor((size - 1 + pad - t) / stride), clipped to [0, out_size); each
+per-axis sum adds those k range lengths, so it costs O(k) and not
+O(out_size).
 
 `job_stream` describes the same traffic for functional emulation in
 `verify`, where bytes are actually pushed through a crossbar; the cycle
@@ -342,7 +347,10 @@ def stream_geometry(layer: LayerDescriptor, in_shape: TensorShape,
     Accepts and rejects exactly the arguments `job_stream` and `map_layer`
     do. Group g has real_g = min(width, c_in - g * width) input and out_g
     output channels, with width c_job (depthwise) or the channel count
-    (dense: one group, c_in in and c_out out).
+    (dense: one group, c_in in and c_out out). The taps T are the product
+    of the per-axis sums of `_axis_taps`: tap t of output o is in bounds
+    for o in [ceil((pad - t) / stride), floor((size - 1 + pad - t) / stride)]
+    clipped to [0, out_size), summed over the k taps.
     """
     _check_strategy(layer, strategy)
     out = output_shape(layer, in_shape)
@@ -367,11 +375,19 @@ def stream_bytes(stream: JobStream) -> tuple[int, int]:
 
 
 def _axis_taps(size: int, out_size: int, k: int, stride: int, pad: int) -> int:
-    """In-bounds filter taps along one axis, summed over output positions."""
+    """In-bounds filter taps along one axis, summed over output positions.
+
+    Tap t of output o reads input o*stride - pad + t, which is in bounds
+    for o from ceil((pad - t) / stride) to floor((size - 1 + pad - t) /
+    stride), clipped to [0, out_size). The sum of those range lengths over
+    the k taps costs O(k), whatever the feature-map size.
+    """
     total = 0
-    for o in range(out_size):
-        start = o * stride - pad
-        total += max(0, min(start + k, size) - max(start, 0))
+    for t in range(k):
+        first = max(0, -((t - pad) // stride))
+        last = min(out_size - 1, (size - 1 + pad - t) // stride)
+        if last >= first:
+            total += last - first + 1
     return total
 
 

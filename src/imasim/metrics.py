@@ -41,6 +41,9 @@ class AreaModel:
     def __post_init__(self):
         if min(self.pcm_device_um2, self.cluster_mm2, self.ima_periphery_mm2) < 0:
             raise ValueError("area parameters must be nonnegative")
+        if self.cluster_mm2 == 0:
+            # the cluster is always present; `report` divides by its area
+            raise ValueError("cluster_mm2 must be > 0")
 
 
 @dataclass(frozen=True, slots=True)

@@ -182,14 +182,25 @@ def array_op_cycles(t_array_ns: float, f_hz: int) -> int:
 def _scale_contention(cycles: int, cluster: ClusterConfig) -> int:
     if cluster.contention_factor == 1.0:
         return cycles
-    return math.ceil(cycles * cluster.contention_factor)
+    scaled = cycles * cluster.contention_factor
+    if math.isinf(scaled):
+        raise ValueError(f"contention_factor {cluster.contention_factor} "
+                         f"scales {cycles} stream cycles past the float range")
+    return math.ceil(scaled)
 
 
 def layer_cycles_ima(layer: LayerDescriptor, strategy: MappingStrategy,
                      in_shape: TensorShape, ports: PortConfig,
                      ima: ImaTiming, cluster: ClusterConfig) -> PhaseBreakdown:
     """Accelerator phase breakdown of one full layer, from its geometry."""
-    geo = mapper.stream_geometry(layer, in_shape, strategy)
+    return _geometry_phases(mapper.stream_geometry(layer, in_shape, strategy),
+                            ports, ima, cluster)
+
+
+def _geometry_phases(geo: mapper.StreamGeometry, ports: PortConfig,
+                     ima: ImaTiming, cluster: ClusterConfig) -> PhaseBreakdown:
+    """The closed-form phase fold of `layer_cycles_ima` over a layer's
+    stream geometry."""
     n_jobs = geo.jobs
     beat_in = PORT_WIDTH_BYTES * ports.n_load
     beat_out = PORT_WIDTH_BYTES * ports.n_store
@@ -297,7 +308,8 @@ def bottleneck_schedule(b: BottleneckDescriptor, plan: Plan, ports: PortConfig,
 
     Layers run one after another with no cross-layer overlap; the residual
     addition (when the block has one) is charged as a software elementwise
-    pass at the end.
+    pass at the end. Each accelerator layer's stream geometry is built
+    once and gives its phases, bytes and jobs.
     """
     entries: list[tuple[str, PhaseBreakdown]] = []
     total_macs = 0
@@ -311,9 +323,8 @@ def bottleneck_schedule(b: BottleneckDescriptor, plan: Plan, ports: PortConfig,
         if strategy is None:
             entries.append((name, layer_cycles_sw(layer, shape, cluster)))
         else:
-            entries.append((name, layer_cycles_ima(layer, strategy, shape,
-                                                   ports, ima, cluster)))
             geo = mapper.stream_geometry(layer, shape, strategy)
+            entries.append((name, _geometry_phases(geo, ports, ima, cluster)))
             bytes_in += geo.bytes_in
             bytes_out += geo.bytes_out
             n_jobs += geo.jobs

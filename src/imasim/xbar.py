@@ -33,6 +33,7 @@ shared implicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -143,7 +144,12 @@ class ProgrammedArray:
         self.weights = np.zeros((rows, cols), dtype=np.int16)
         self.mask = np.zeros((rows, cols), dtype=bool)
         self._program_noise = None  # lazily allocated float64 grid
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        # built on first draw: a noiseless array never pays for a generator
+        return np.random.default_rng(self._seed)
 
     def program(self, region: Region, weights) -> "ProgrammedArray":
         """Write an integer weight block into `region`.

@@ -200,11 +200,24 @@ def test_non_integer_geometry_is_validation_error(capsys, tmp_path, field, value
     "cluster.marshal_bytes_per_cycle=0", "cluster.f_hz=0",
     "cluster.contention_factor=1e400", "energy.p_core_idle_mw=NaN",
     "cluster.n_cores=1.5", "cluster.f_hz=true", "cluster.eta_dw=1e-9",
-    "cluster.eta_conv=1e-9"])
+    "cluster.eta_conv=1e-9", "area.cluster_mm2=0"])
 def test_zero_cluster_divisor_is_validation_error(capsys, override):
     code, _, err = run(capsys, "simulate", "--plan", "sw", "--set", override)
     assert code == EXIT_VALIDATION
     assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("command,options", [
+    ("simulate", ["--plan", "ima8"]), ("sweep", ["--out", "sweep.csv"])],
+    ids=["simulate", "sweep"])
+def test_overflowing_contention_factor_is_validation_error(
+        capsys, tmp_path, monkeypatch, command, options):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, command, *options,
+                       "--set", "cluster.contention_factor=1e308")
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert "contention_factor" in err
 
 
 @pytest.mark.parametrize("override", [

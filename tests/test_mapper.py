@@ -264,3 +264,34 @@ def test_strategy_checks_agree(layer, strategy):
     expect = (isinstance(layer, DepthwiseConv) and strategy.c_job <= 4) \
         if strategy.c_job else not isinstance(layer, DepthwiseConv)
     assert verdicts == {expect}
+
+
+def axis_taps_loop(size: int, out_size: int, k: int, stride: int,
+                   pad: int) -> int:
+    """In-bounds taps along one axis, one output position at a time: the
+    oracle of `mapper._axis_taps`."""
+    total = 0
+    for o in range(out_size):
+        start = o * stride - pad
+        total += max(0, min(start + k, size) - max(start, 0))
+    return total
+
+
+def test_axis_taps_matches_per_output_loop():
+    cases = stride_over_k = padding_only = 0
+    for size in range(1, 41):
+        for k in range(1, 8):
+            for stride in range(1, 5):
+                for pad in range(k + 1):
+                    out_size = (size + 2 * pad - k) // stride + 1
+                    if out_size < 1:
+                        continue
+                    want = axis_taps_loop(size, out_size, k, stride, pad)
+                    got = mapper._axis_taps(size, out_size, k, stride, pad)
+                    assert got == want, (size, k, stride, pad)
+                    cases += 1
+                    stride_over_k += stride > k
+                    padding_only += any(  # an output reads only padding
+                        min(o * stride - pad + k, size) <= max(o * stride - pad, 0)
+                        for o in range(out_size))
+    assert cases > 5000 and stride_over_k > 0 and padding_only > 0

@@ -347,3 +347,23 @@ def test_schedule_builds_no_job_streams(cal, monkeypatch):
     for plan in Plan:
         timing.bottleneck_schedule(default_bottleneck(), plan, PortConfig(4, 4),
                                    cal.ima, cal.cluster)
+
+
+def test_schedule_builds_one_stream_geometry_per_accelerator_layer(
+        cal, monkeypatch):
+    calls = []
+    real = mapper.stream_geometry
+
+    def counted(layer, in_shape, strategy):
+        calls.append(layer)
+        return real(layer, in_shape, strategy)
+
+    monkeypatch.setattr(mapper, "stream_geometry", counted)
+    b = default_bottleneck()
+    for plan in Plan:
+        calls.clear()
+        timing.bottleneck_schedule(b, plan, PortConfig(4, 4), cal.ima,
+                                   cal.cluster)
+        want = [layer for layer in b.expand()
+                if timing.plan_strategy(plan, layer) is not None]
+        assert calls == want, plan

@@ -222,6 +222,14 @@ def test_batched_mvm_equals_successive_calls(noise):
     assert one._rng.bit_generator.state == many._rng.bit_generator.state
 
 
+def test_noiseless_array_builds_no_generator():
+    arr = _array(seed=9)
+    arr.mvm(np.arange(12, dtype=np.uint8), ADC1)
+    assert "_rng" not in vars(arr)
+    assert arr._rng.bit_generator.state \
+        == np.random.default_rng(9).bit_generator.state
+
+
 def test_noisy_mvm_draws_follow_the_seed():
     # program noise at write time, then one cols-long standard-normal draw
     # per input vector, scaled per column by the read-noise spread of the
