@@ -37,11 +37,12 @@ O(out_size).
 
 `job_stream` describes the same traffic for functional emulation in
 `verify`, where bytes are actually pushed through a crossbar; the cycle
-model never builds one. `gather_indices` turns a stream into one index
-array per region, the virtual im2col as a numpy gather. `JobStream.jobs`
-enumerates the jobs as explicit (offset, length) segments, on first
-access only: it is the test oracle for `stream_geometry` and for the
-gather indices.
+model never builds one. `gather_inputs` runs a stream's virtual im2col on
+an input tensor: one (P, k^2) index of input pixels, shared by every
+region, and per region one numpy gather of whole pixel rows from a
+group-major copy of the input. `JobStream.jobs` enumerates the jobs as
+explicit (offset, length) segments, on first access only: it is the test
+oracle for `stream_geometry` and for the gathered inputs.
 """
 
 from __future__ import annotations
@@ -230,40 +231,39 @@ def job_stream(layer: LayerDescriptor, in_shape: TensorShape,
     return JobStream(layer, strategy, in_shape, output_shape(layer, in_shape))
 
 
-def gather_indices(stream: JobStream) -> Iterator[np.ndarray]:
-    """Yield each region's gather index, in region order.
+def gather_inputs(stream: JobStream, data: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield each region's (P, rows) input matrix, in region order.
 
-    Region g's index has shape (P, rows): row p lists, in DAC-row order,
-    the flat HWC input bytes of the region's job for output pixel p, which
-    is the concatenation of that job's segments. Zero-fill taps and the
-    channel pads of a tail group point at a zero slot one past the input,
-    index `in_shape.size_bytes`. Indices are built one region at a time
-    from the receptive-field bases, which all regions share.
+    Row p of region g is the concatenated segments of the region's job for
+    output pixel p: the streamer's virtual im2col of `data`, the (h, w, c)
+    input. One (P, k^2) index of input pixels, shared by every region,
+    plays the address generator; a tap in the padding border points at
+    pixel h*w, a zero pixel one past the input. The input is copied once
+    into a group-major array of shape (groups, h*w + 1, width), width being
+    c_job or, for a dense layer, c, whose zero pixel and zero channel tail
+    of a partial last group supply the zero-fill bytes. Region g is then
+    one gather of whole pixel rows from its group's slab, filled just
+    before.
     """
-    layer, in_shape = stream.layer, stream.in_shape
-    base = _tap_bases(in_shape, stream.out_shape, kernel_size(layer),
-                      layer_stride(layer), layer_pad(layer))
-    c = in_shape.channels
-    width = stream.strategy.c_job or c
-    lanes = np.arange(width)
-    outside = (base < 0)[:, :, None]
-    for ch_off in range(0, c, width):
-        index = base[:, :, None] + (ch_off + lanes)
-        index[outside | (lanes >= c - ch_off)] = in_shape.size_bytes
-        yield index.reshape(len(base), -1)
-
-
-def _tap_bases(in_shape: TensorShape, out: TensorShape, k: int, stride: int,
-               pad: int) -> np.ndarray:
-    """(P, k^2) flat offsets of each output pixel's receptive-field taps,
-    -1 for a tap in the padding border."""
+    layer, in_shape, out = stream.layer, stream.in_shape, stream.out_shape
+    k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
     h, w, c = in_shape.height, in_shape.width, in_shape.channels
+    if np.shape(data) != (h, w, c):
+        raise ValueError(f"input of shape {np.shape(data)}, stream expects "
+                         f"{(h, w, c)}")
     iy = (np.arange(out.height) * stride - pad)[:, None] + np.arange(k)
     ix = (np.arange(out.width) * stride - pad)[:, None] + np.arange(k)
     inside = (((iy >= 0) & (iy < h))[:, None, :, None]
               & ((ix >= 0) & (ix < w))[None, :, None, :])
-    base = (iy[:, None, :, None] * w + ix[None, :, None, :]) * c
-    return np.where(inside, base, -1).reshape(out.height * out.width, k * k)
+    taps = np.where(inside, iy[:, None, :, None] * w + ix[None, :, None, :],
+                    h * w).reshape(out.height * out.width, k * k)
+    width = stream.strategy.c_job or c
+    flat = np.reshape(data, (h * w, c))
+    packed = np.zeros((-(-c // width), h * w + 1, width), dtype=flat.dtype)
+    for g, slab in enumerate(packed):
+        part = flat[:, g * width:(g + 1) * width]
+        slab[:h * w, :part.shape[1]] = part
+        yield np.take(slab, taps, axis=0).reshape(len(taps), -1)
 
 
 def _receptive_segments(in_shape: TensorShape, oy: int, ox: int,
@@ -427,12 +427,10 @@ def region_weight_matrix(alloc: CrossbarAllocation, weights,
     ch_off = region_index * c_job
     real = min(c_job, layer.c - ch_off)
     taps = layer.k * layer.k
-    block = np.zeros((taps * c_job, c_job), dtype=np.int64)
-    flat = w.reshape(taps, layer.c)
-    for p in range(taps):
-        for m in range(real):
-            block[p * c_job + m, m] = flat[p, ch_off + m]
-    return block
+    block = np.zeros((taps, c_job, c_job), dtype=np.int64)
+    m = np.arange(real)
+    block[:, m, m] = w.reshape(taps, layer.c)[:, ch_off:ch_off + real]
+    return block.reshape(taps * c_job, c_job)
 
 
 # --- network-wide device accounting ------------------------------------------

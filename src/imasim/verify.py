@@ -6,7 +6,7 @@ that tap's weights, summed over the output grid in float64, then the same
 ADC scale/round/clamp policy the crossbar applies. The sum is exact: every
 partial sum is an integer of magnitude at most k*k*c_in*8*255, and layers
 whose bound reaches 2**53 are rejected. It never touches the mapper, its
-gather index or the crossbar, so comparing it against the emulated
+gathered inputs or the crossbar, so comparing it against the emulated
 pipeline (program regions -> stream jobs -> mvm -> assemble output)
 validates the mapping and streaming machinery, not the requantization
 choice.
@@ -14,11 +14,12 @@ choice.
 With noise disabled the two paths must agree bit for bit on every layer
 kind, including padded borders and partial depthwise channel groups.
 
-`execute_job_stream` runs a layer region by region: one gather of the
-region's inputs through `mapper.gather_indices` and one batched `mvm` call,
-noisy or not. Jobs reach each region's array in stream order, so seeded
-noise draws match those of one `mvm` call per job; `gather_job_input` is
-that per-job path's building block.
+`execute_job_stream` runs a layer region by region: `mapper.gather_inputs`
+gathers the region's (P, rows) inputs by whole input pixels, through one
+(P, k^2) tap index that all regions share, and one batched `mvm` call runs
+them, noisy or not. Jobs reach each region's array in stream order, so
+seeded noise draws match those of one `mvm` call per job;
+`gather_job_input` is that per-job path's building block.
 """
 
 from __future__ import annotations
@@ -154,18 +155,20 @@ def execute_job_stream(arrays: list[ProgrammedArray], stream: JobStream,
 
     Region g's jobs go to `arrays[g]` as batches; the region writes its
     real output columns, from `g * cols` on, of every output pixel (a dense
-    layer has one region).
+    layer has one region). An ADC configuration without exactly one scale,
+    or one per output channel, raises `DimensionMismatch`, as in
+    `reference_conv`.
     """
-    flat_in = np.concatenate([inp.flat, np.zeros(1, dtype=inp.data.dtype)])
     out_shape = stream.out_shape
+    adc.scales(out_shape.channels)
     out = np.zeros((out_shape.height * out_shape.width, out_shape.channels),
                    dtype=np.int8)
-    for g, index in enumerate(mapper.gather_indices(stream)):
+    for g, x in enumerate(mapper.gather_inputs(stream, inp.data)):
         arr = arrays[g]
         col_base = g * arr.cols
         real = min(arr.cols, out_shape.channels - col_base)
         region_adc = adc.slice(col_base, col_base + arr.cols)
-        y = arr.mvm(flat_in[index], region_adc)
+        y = arr.mvm(x, region_adc)
         out[:, col_base:col_base + real] = y[:, :real]
     return QuantTensor(out_shape,
                        out.reshape(out_shape.height, out_shape.width,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imasim import mapper, verify
+from imasim import mapper, verify, workload
 from imasim.mapper import depthwise_block
 from imasim.workload import (
     DepthwiseConv,
@@ -142,25 +142,34 @@ class TestJobStream:
         assert len(stream.jobs) == 2 * 36
 
     def test_gather_index_rows_are_job_segments(self):
-        # row p of region g's index is the concatenated segments of job
-        # g * P + p, with every zero-fill byte on the zero slot
+        # row p of region g's gathered input is the concatenated segments of
+        # job g * P + p; input byte i holds i + 1, so a fetched segment reads
+        # offset+1 ... offset+length and a zero-fill segment reads zeros
         rng = np.random.default_rng(31)
         for _ in range(150):
             layer, strategy, inp, _, _ = verify.random_case(rng)
-            stream = mapper.job_stream(layer, inp.shape, strategy)
-            zero_slot = inp.shape.size_bytes
-            indices = list(mapper.gather_indices(stream))
+            shape = inp.shape
+            stream = mapper.job_stream(layer, shape, strategy)
+            data = np.arange(1, shape.size_bytes + 1, dtype=np.int64).reshape(
+                shape.height, shape.width, shape.channels)
+            regions = list(mapper.gather_inputs(stream, data))
             pixels = stream.out_shape.height * stream.out_shape.width
-            assert len(indices) == len(mapper.map_layer(layer, strategy).regions)
-            assert len(stream.jobs) == pixels * len(indices)
+            assert len(regions) == len(mapper.map_layer(layer, strategy).regions)
+            assert len(stream.jobs) == pixels * len(regions)
             for i, job in enumerate(stream.jobs):
                 g, p = divmod(i, pixels)
                 assert job.region_id == g
                 expect = np.concatenate([
-                    np.full(s.length, zero_slot) if s.zero_fill
-                    else np.arange(s.offset, s.offset + s.length)
+                    np.zeros(s.length, dtype=np.int64) if s.zero_fill
+                    else np.arange(s.offset + 1, s.offset + s.length + 1)
                     for s in job.segments])
-                assert np.array_equal(indices[g][p], expect), (layer, i)
+                assert np.array_equal(regions[g][p], expect), (layer, i)
+
+    def test_gather_rejects_a_misshaped_input(self):
+        stream = mapper.job_stream(DepthwiseConv(k=3, c=4, pad=1),
+                                   TensorShape(5, 6, 4), depthwise_block(2))
+        with pytest.raises(ValueError, match="input of shape"):
+            next(mapper.gather_inputs(stream, np.zeros((6, 5, 4), np.uint8)))
 
     def test_stream_bytes_excludes_zero_fill(self):
         geo = mapper.stream_geometry(StandardConv(k=3, c_in=32, c_out=64, pad=1),
@@ -170,6 +179,25 @@ class TestJobStream:
         assert geo.bytes_in == 46 * 46 * 32
         assert geo.bytes_out == 256 * 64
         assert geo.jobs == 256
+
+
+def region_weight_matrix_loop(alloc, weights, region_index=0) -> np.ndarray:
+    """`mapper.region_weight_matrix` with the depthwise block filled one
+    (tap, channel) cell at a time: its oracle."""
+    layer = alloc.layer
+    w = np.asarray(weights, dtype=np.int64)
+    if not isinstance(layer, DepthwiseConv):
+        return w.reshape(-1, workload.out_channels(layer))
+    c_job = alloc.strategy.c_job
+    ch_off = region_index * c_job
+    real = min(c_job, layer.c - ch_off)
+    taps = layer.k * layer.k
+    block = np.zeros((taps * c_job, c_job), dtype=np.int64)
+    flat = w.reshape(taps, layer.c)
+    for p in range(taps):
+        for m in range(real):
+            block[p * c_job + m, m] = flat[p, ch_off + m]
+    return block
 
 
 class TestWeightMatrices:
@@ -202,6 +230,21 @@ class TestWeightMatrices:
         m = mapper.region_weight_matrix(alloc, w)
         assert m.shape == (3, 5)
         assert np.array_equal(m, w)
+
+    def test_matches_per_tap_loop_on_random_cases(self):
+        rng = np.random.default_rng(32)
+        tails = 0
+        for _ in range(500):
+            layer, strategy, _, weights, _ = verify.random_case(rng)
+            alloc = mapper.map_layer(layer, strategy)
+            for g in range(len(alloc.regions)):
+                got = mapper.region_weight_matrix(alloc, weights, g)
+                want = region_weight_matrix_loop(alloc, weights, g)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (layer, strategy, g)
+            c_job = strategy.c_job
+            tails += c_job is not None and layer.c % c_job != 0
+        assert tails > 0  # partial tail groups were drawn
 
     @pytest.mark.parametrize("layer,strategy,bad_shape", [
         (StandardConv(k=2, c_in=3, c_out=2), mapper.STANDARD_IM2COL, (12, 2)),

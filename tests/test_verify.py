@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from imasim.xbar import (
     WEIGHT_MAX,
     WEIGHT_MIN,
     AdcConfig,
+    DimensionMismatch,
 )
 
 ADC1 = AdcConfig(1.0)
@@ -86,8 +89,9 @@ class TestReferenceConv:
                            np.zeros((3, 3, 2, 1), dtype=int), ADC1)
 
     def test_independent_of_the_gather_index(self):
+        # the golden model never shares the emulator's gather
         names = reference_conv.__code__.co_names
-        assert "mapper" not in names and "gather_indices" not in names
+        assert "mapper" not in names and "gather_inputs" not in names
 
 
 class TestEquivalence:
@@ -150,6 +154,33 @@ class TestEquivalence:
         assert not np.array_equal(got.data, want.data)
         result = check_equivalence(layer, mapper.STANDARD_IM2COL, inp, w_good, adc)
         assert result.ok  # uncorrupted path still matches
+
+
+@pytest.mark.parametrize("layer,scales", [
+    (PointwiseConv(4, 4), (0.1, 0.1)),
+    (PointwiseConv(4, 4), (0.1,) * 5),
+    (DepthwiseConv(k=3, c=5, pad=1), (0.1,) * 4),
+    (DepthwiseConv(k=3, c=5, pad=1), (0.1,) * 7),
+], ids=["pointwise-too-few", "pointwise-too-many", "depthwise-too-few",
+        "depthwise-too-many"])
+def test_wrong_adc_scale_count_rejected(layer, scales):
+    # the emulator rejects a per-column scale count that is not the layer's
+    # output channel count, as the reference does
+    rng = np.random.default_rng(17)
+    c_in = workload.in_channels(layer)
+    inp = u8(rng.integers(0, 256, size=(4, 4, c_in)))
+    w = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1,
+                     size=workload.weight_shape(layer))
+    strategy = mapper.default_strategy(layer, 2)
+    adc = AdcConfig(scales)
+    arrays = verify.program_allocation(mapper.map_layer(layer, strategy), w)
+    stream = mapper.job_stream(layer, inp.shape, strategy)
+    with pytest.raises(DimensionMismatch):
+        verify.execute_job_stream(arrays, stream, inp, adc)
+    with pytest.raises(DimensionMismatch):
+        reference_conv(layer, inp, w, adc)
+    with pytest.raises(DimensionMismatch):
+        check_equivalence(layer, strategy, inp, w, adc)
 
 
 def test_random_suite_smoke():
@@ -285,6 +316,45 @@ def test_default_bottleneck_layers_bit_exact(plan):
         _assert_emulation_bit_exact(layer, timing.plan_strategy(plan, layer),
                                     inp, w, adc)
         shape = workload.output_shape(layer, shape)
+
+
+# sha256 of the int8 output bytes of the default bottleneck's layers under
+# ima8, inputs from `_random_layer_inputs` with data seed 0, and of the
+# depthwise output with read and programming noise at noise seed 2021
+PINNED_EMULATION = {
+    "clean": (
+        "846b0fbbca5c9ed93c2ded93487e51bc3da7781a92c8ae9bc4dca8f764e1bbb2",
+        "100f68830c2b471ee62e93acf00f18fb725f38f681552e09bcd7499be5eab11c",
+        "45adb6099de80b123d5b9e3dcd354b6d9320bd414a6e7d97b769df94e8857d6e",
+    ),
+    "noisy_depthwise":
+        "442b6791bc878017813d65c51468f61ac1d8724931b1638ec9adf721f587f1b5",
+}
+
+
+def _emulated_sha256(alloc, stream, inp, w, adc, **noise) -> str:
+    arrays = verify.program_allocation(alloc, w, **noise)
+    out = verify.execute_job_stream(arrays, stream, inp, adc).data
+    return hashlib.sha256(out.tobytes()).hexdigest()
+
+
+def test_seeded_emulation_is_pinned():
+    rng = np.random.default_rng(0)
+    b = workload.default_bottleneck()
+    shape = b.input_shape
+    clean = []
+    for layer in b.expand():
+        inp, w, adc = _random_layer_inputs(layer, shape, rng)
+        strategy = timing.plan_strategy(timing.Plan.IMA8, layer)
+        case = (mapper.map_layer(layer, strategy),
+                mapper.job_stream(layer, inp.shape, strategy), inp, w, adc)
+        clean.append(_emulated_sha256(*case))
+        if isinstance(layer, DepthwiseConv):
+            noisy = _emulated_sha256(*case, noise_sigma=0.5,
+                                     program_sigma=0.5, seed=2021)
+        shape = workload.output_shape(layer, shape)
+    assert {"clean": tuple(clean), "noisy_depthwise": noisy} == \
+        PINNED_EMULATION
 
 
 def test_mobilenet_v2_layers_bit_exact():
