@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import dse, mapper, metrics, timing, verify, workload
 from .calibration import Calibration, default_calibration, load_calibration
@@ -128,13 +129,13 @@ def cmd_simulate(args) -> int:
     b = _load_bottleneck(args)
     plan = _parse_plan(args.plan)
     ports = _parse_ports(args.ports)
+    rows = timing.placements(b, plan)
+    allocations = timing.table_allocations(rows)
     try:
-        schedule = timing.bottleneck_schedule(b, plan, ports, cal.ima,
-                                              cal.cluster)
+        schedule = timing.fold_schedule(rows, plan, ports, cal.ima, cal.cluster)
+        rep = metrics.report(schedule, allocations, cal.area, cal.energy)
     except ValueError as e:
         raise ValidationError(f"bad calibration: {e}") from None
-    allocations = timing.plan_allocations(b, plan)
-    rep = metrics.report(schedule, allocations, cal.area, cal.energy)
     if args.format == "json":
         payload = {
             "schema_version": 1,
@@ -142,9 +143,7 @@ def cmd_simulate(args) -> int:
             "plan": plan.value,
             "ports": str(ports),
             "metrics": rep.to_dict(),
-            "layers": [{"name": name, "streamin": p.streamin, "compute": p.compute,
-                        "streamout": p.streamout, "config": p.config, "sw": p.sw,
-                        "marshal": p.marshal, "total": p.total}
+            "layers": [{"name": name, **asdict(p), "total": p.total}
                        for name, p in schedule.layers],
         }
         text = json.dumps(payload, indent=2) + "\n"
@@ -157,11 +156,7 @@ def cmd_simulate(args) -> int:
             f"{b.height}x{b.width})",
             f"note: {_CAL_NOTE}",
             "",
-            *_phase_table(schedule.layers),
-            f"{'TOTAL':<16}{schedule.totals.streamin:>10}"
-            f"{schedule.totals.compute:>10}{schedule.totals.streamout:>11}"
-            f"{schedule.totals.config:>8}{schedule.totals.sw:>10}"
-            f"{schedule.totals.marshal:>9}{schedule.total_cycles:>10}",
+            *_phase_table((*schedule.layers, ("TOTAL", schedule.totals))),
             "",
             f"cycles: {rep.total_cycles}   wall: {rep.wall_time_s * 1e3:.3f} ms   "
             f"energy: {rep.energy_j * 1e6:.3f} uJ",

@@ -53,12 +53,12 @@ class SweepRow:
 COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def evaluate_point(workload: BottleneckDescriptor, plan: Plan,
+def evaluate_point(rows: tuple[timing.Placement, ...], plan: Plan,
                    ports: PortConfig, cal: Calibration) -> SweepRow:
-    schedule = timing.bottleneck_schedule(workload, plan, ports,
-                                          cal.ima, cal.cluster)
-    allocations = timing.plan_allocations(workload, plan)
-    rep = metrics.report(schedule, allocations, cal.area, cal.energy)
+    """One sweep point: the fold of a plan's placement table at `ports`."""
+    schedule = timing.fold_schedule(rows, plan, ports, cal.ima, cal.cluster)
+    rep = metrics.report(schedule, timing.table_allocations(rows), cal.area,
+                         cal.energy)
     t = schedule.totals
     return SweepRow(
         plan=plan.value, n_load=ports.n_load, n_store=ports.n_store,
@@ -71,8 +71,11 @@ def evaluate_point(workload: BottleneckDescriptor, plan: Plan,
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate PLAN_ORDER x DEFAULT_PORTS; row order is plan-major."""
-    return [evaluate_point(spec.workload, plan, ports, spec.calibration)
+    """Evaluate PLAN_ORDER x DEFAULT_PORTS; row order is plan-major. Each
+    plan's placement table is built once and folded per port config."""
+    tables = {plan: timing.placements(spec.workload, plan)
+              for plan in PLAN_ORDER}
+    return [evaluate_point(tables[plan], plan, ports, spec.calibration)
             for plan in PLAN_ORDER
             for ports in DEFAULT_PORTS]
 

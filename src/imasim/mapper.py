@@ -348,9 +348,7 @@ def stream_geometry(layer: LayerDescriptor, in_shape: TensorShape,
     do. Group g has real_g = min(width, c_in - g * width) input and out_g
     output channels, with width c_job (depthwise) or the channel count
     (dense: one group, c_in in and c_out out). The taps T are the product
-    of the per-axis sums of `_axis_taps`: tap t of output o is in bounds
-    for o in [ceil((pad - t) / stride), floor((size - 1 + pad - t) / stride)]
-    clipped to [0, out_size), summed over the k taps.
+    of the per-axis sums of `_axis_taps`.
     """
     _check_strategy(layer, strategy)
     out = output_shape(layer, in_shape)

@@ -23,7 +23,8 @@ Throughput convention: 1 MAC = 2 OPs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, astuple, dataclass
 from typing import Iterable
 
 from .mapper import CrossbarAllocation
@@ -39,7 +40,7 @@ class AreaModel:
     ima_periphery_mm2: float = 0.0    # calibrated, not measured
 
     def __post_init__(self):
-        if min(self.pcm_device_um2, self.cluster_mm2, self.ima_periphery_mm2) < 0:
+        if min(astuple(self)) < 0:
             raise ValueError("area parameters must be nonnegative")
         if self.cluster_mm2 == 0:
             # the cluster is always present; `report` divides by its area
@@ -57,11 +58,7 @@ class EnergyModel:
     p_ima_port_mw: float = 0.04         # per 32-bit TCDM master port
 
     def __post_init__(self):
-        vals = (self.e_stream_in_pj_per_byte, self.e_stream_out_pj_per_byte,
-                self.e_job_fixed_pj, self.p_core_active_mw,
-                self.p_core_idle_mw, self.p_cluster_static_mw,
-                self.p_ima_port_mw)
-        if min(vals) < 0:
+        if min(astuple(self)) < 0:
             raise ValueError("energy parameters must be nonnegative")
 
 
@@ -99,29 +96,24 @@ class MetricsReport:
     macs: int
 
     def to_dict(self) -> dict:
-        return {
-            "gops": self.gops,
-            "tops_per_w": self.tops_per_w,
-            "gops_per_mm2_pcm": self.gops_per_mm2_pcm,
-            "gops_per_mm2_full": self.gops_per_mm2_full,
-            "total_cycles": self.total_cycles,
-            "wall_time_s": self.wall_time_s,
-            "energy_j": self.energy_j,
-            "macs": self.macs,
-        }
+        return asdict(self)
 
 
 def report(schedule: ScheduleResult,
            allocations: Iterable[CrossbarAllocation],
            area_model: AreaModel,
            energy_model: EnergyModel) -> MetricsReport:
-    """Combine a schedule with area/energy models into the headline metrics."""
+    """Combine a schedule with area/energy models into the headline metrics;
+    raises ValueError when the energy or an area is not finite."""
     ops = 2 * schedule.macs
     gops = ops * schedule.f_hz / (schedule.total_cycles * 1e9)
     joules = energy(schedule, energy_model)
     tops_per_w = ops / joules / 1e12 if joules > 0 else 0.0
     a_pcm = pcm_area_mm2(allocations, area_model)
     a_full = a_pcm + (area_model.cluster_mm2 + area_model.ima_periphery_mm2)
+    if not (math.isfinite(joules) and math.isfinite(a_full)):  # a_full >= a_pcm
+        raise ValueError(f"energy {joules} J or area {a_full} mm2 is not finite: "
+                         "an energy or area parameter overflows the float range")
     return MetricsReport(
         gops=gops,
         tops_per_w=tops_per_w,

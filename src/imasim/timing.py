@@ -21,6 +21,11 @@ out_g the per-group slices,
 The cycle model uses only this form; enumerated job streams exist for
 functional emulation and as the test oracle.
 
+A schedule folds a placement table: `placements(b, plan)` walks a block's
+layers once for their shapes, MACs and, on the accelerator, stream geometry
+and crossbar allocation; `fold_schedule` sums one port config's phases,
+bytes and jobs over those rows. A sweep builds one table per plan.
+
 Jobs of a layer run back-to-back with a small per-job trigger/handshake,
 and one configuration burst is charged per layer (multiple jobs pipeline
 behind a single register-file setup). Handshake cycles are reported inside
@@ -50,6 +55,7 @@ from .workload import (
     DepthwiseConv,
     LayerDescriptor,
     PointwiseConv,
+    StandardConv,
     TensorShape,
     macs,
     output_shape,
@@ -273,6 +279,8 @@ class ScheduleResult:
 
 
 _DW_CJOB = {Plan.IMA8: 8, Plan.IMA16: 16}
+_KIND_NAMES = {DepthwiseConv: "depthwise", PointwiseConv: "pointwise",
+               StandardConv: "conv"}   # row names: l<index>.<kind>
 
 
 def plan_strategy(plan: Plan, layer: LayerDescriptor) -> MappingStrategy | None:
@@ -284,60 +292,73 @@ def plan_strategy(plan: Plan, layer: LayerDescriptor) -> MappingStrategy | None:
     return mapper.default_strategy(layer, _DW_CJOB.get(plan))
 
 
+@dataclass(frozen=True, slots=True)
+class Placement:
+    """A layer's row of a placement table; no geometry or allocation: on the cores."""
+
+    name: str
+    layer: LayerDescriptor
+    in_shape: TensorShape
+    out_shape: TensorShape
+    macs: int
+    geometry: mapper.StreamGeometry | None
+    allocation: mapper.CrossbarAllocation | None
+    residual: bool   # the block's residual add follows this layer
+
+
+def placements(b: BottleneckDescriptor, plan: Plan) -> tuple[Placement, ...]:
+    """The placement table of a bottleneck under a plan, in layer order."""
+    rows = []
+    layers = b.expand()
+    shape = b.input_shape
+    for i, layer in enumerate(layers):
+        out = output_shape(layer, shape)
+        strategy = plan_strategy(plan, layer)
+        geo = alloc = None
+        if strategy is not None:
+            geo = mapper.stream_geometry(layer, shape, strategy)
+            alloc = mapper.map_layer(layer, strategy)
+        rows.append(Placement(f"l{i}.{_KIND_NAMES[type(layer)]}", layer,
+                              shape, out, macs(layer, shape), geo, alloc,
+                              b.residual and i == len(layers) - 1))
+        shape = out
+    return tuple(rows)
+
+
+def table_allocations(rows: tuple[Placement, ...]) -> list[mapper.CrossbarAllocation]:
+    """The allocation column of a placement table (for area models)."""
+    return [row.allocation for row in rows if row.allocation is not None]
+
+
 def plan_allocations(b: BottleneckDescriptor, plan: Plan) -> list[mapper.CrossbarAllocation]:
     """Crossbar allocations a plan claims for a bottleneck (for area models)."""
-    allocs = []
-    for layer in b.expand():
-        strategy = plan_strategy(plan, layer)
-        if strategy is not None:
-            allocs.append(mapper.map_layer(layer, strategy))
-    return allocs
+    return table_allocations(placements(b, plan))
 
 
-def _layer_name(layer: LayerDescriptor, index: int) -> str:
-    if isinstance(layer, DepthwiseConv):
-        return f"l{index}.depthwise"
-    if isinstance(layer, PointwiseConv):
-        return f"l{index}.pointwise"
-    return f"l{index}.conv"
+def fold_schedule(rows: tuple[Placement, ...], plan: Plan, ports: PortConfig,
+                  ima: ImaTiming, cluster: ClusterConfig) -> ScheduleResult:
+    """Sequential execution of a placement table at one port config: no
+    cross-layer overlap, and a residual add runs on the cores after its row."""
+    entries: list[tuple[str, PhaseBreakdown]] = []
+    for row in rows:
+        if row.geometry is None:
+            phases = layer_cycles_sw(row.layer, row.in_shape, cluster)
+        else:
+            phases = _geometry_phases(row.geometry, ports, ima, cluster)
+        entries.append((row.name, phases))
+        if row.residual:
+            entries.append(("residual", PhaseBreakdown(
+                sw=residual_add_cycles(row.out_shape, cluster))))
+    geos = [row.geometry for row in rows if row.geometry is not None]
+    return ScheduleResult(plan=plan, ports=ports, layers=tuple(entries),
+                          totals=sum((p for _, p in entries), PhaseBreakdown()),
+                          macs=sum(row.macs for row in rows),
+                          bytes_streamed_in=sum(g.bytes_in for g in geos),
+                          bytes_streamed_out=sum(g.bytes_out for g in geos),
+                          ima_jobs=sum(g.jobs for g in geos), f_hz=cluster.f_hz)
 
 
 def bottleneck_schedule(b: BottleneckDescriptor, plan: Plan, ports: PortConfig,
                         ima: ImaTiming, cluster: ClusterConfig) -> ScheduleResult:
-    """Sequential execution of a bottleneck under a plan.
-
-    Layers run one after another with no cross-layer overlap; the residual
-    addition (when the block has one) is charged as a software elementwise
-    pass at the end. Each accelerator layer's stream geometry is built
-    once and gives its phases, bytes and jobs.
-    """
-    entries: list[tuple[str, PhaseBreakdown]] = []
-    total_macs = 0
-    bytes_in = 0
-    bytes_out = 0
-    n_jobs = 0
-    shape = b.input_shape
-    for i, layer in enumerate(b.expand()):
-        name = _layer_name(layer, i)
-        strategy = plan_strategy(plan, layer)
-        if strategy is None:
-            entries.append((name, layer_cycles_sw(layer, shape, cluster)))
-        else:
-            geo = mapper.stream_geometry(layer, shape, strategy)
-            entries.append((name, _geometry_phases(geo, ports, ima, cluster)))
-            bytes_in += geo.bytes_in
-            bytes_out += geo.bytes_out
-            n_jobs += geo.jobs
-        total_macs += macs(layer, shape)
-        shape = output_shape(layer, shape)
-    if b.residual:
-        entries.append(("residual",
-                        PhaseBreakdown(sw=residual_add_cycles(shape, cluster))))
-    totals = PhaseBreakdown()
-    for _, phases in entries:
-        totals = totals + phases
-    return ScheduleResult(plan=plan, ports=ports, layers=tuple(entries),
-                          totals=totals, macs=total_macs,
-                          bytes_streamed_in=bytes_in,
-                          bytes_streamed_out=bytes_out,
-                          ima_jobs=n_jobs, f_hz=cluster.f_hz)
+    """Sequential execution of a bottleneck under a plan: its table's fold."""
+    return fold_schedule(placements(b, plan), plan, ports, ima, cluster)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Union
 
 
@@ -349,16 +349,11 @@ def mobilenet_v2_preset(width_multiplier: float = 1.0) -> NetworkDescriptor:
 SCHEMA_VERSION = 1
 _LAYER_TYPES = {"standard": StandardConv, "depthwise": DepthwiseConv,
                 "pointwise": PointwiseConv}
+_TYPE_NAMES = {cls: kind for kind, cls in _LAYER_TYPES.items()}
 
 
 def layer_to_dict(layer: LayerDescriptor) -> dict:
-    if isinstance(layer, StandardConv):
-        return {"type": "standard", "k": layer.k, "c_in": layer.c_in,
-                "c_out": layer.c_out, "stride": layer.stride, "pad": layer.pad}
-    if isinstance(layer, DepthwiseConv):
-        return {"type": "depthwise", "k": layer.k, "c": layer.c,
-                "stride": layer.stride, "pad": layer.pad}
-    return {"type": "pointwise", "c_in": layer.c_in, "c_out": layer.c_out}
+    return {"type": _TYPE_NAMES[type(layer)], **asdict(layer)}
 
 
 def layer_from_dict(d: dict) -> LayerDescriptor:
@@ -378,9 +373,7 @@ def layer_from_dict(d: dict) -> LayerDescriptor:
 
 
 def bottleneck_to_dict(b: BottleneckDescriptor) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "kind": "bottleneck",
-            "c_in": b.c_in, "expansion": b.expansion, "c_out": b.c_out,
-            "stride": b.stride, "height": b.height, "width": b.width}
+    return {"schema_version": SCHEMA_VERSION, "kind": "bottleneck", **asdict(b)}
 
 
 def bottleneck_from_dict(d: dict) -> BottleneckDescriptor:
@@ -395,9 +388,7 @@ def network_to_dict(net: NetworkDescriptor) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "network",
         "name": net.name,
-        "input_shape": {"height": net.input_shape.height,
-                        "width": net.input_shape.width,
-                        "channels": net.input_shape.channels},
+        "input_shape": asdict(net.input_shape),
         "layers": [{"name": nl.name, "layer": layer_to_dict(nl.layer)}
                    for nl in net.layers],
     }

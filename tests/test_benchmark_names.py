@@ -14,8 +14,9 @@ import types
 from pathlib import Path
 
 import imasim.dse  # noqa: F401  (the tracer wraps every imasim module it names)
-from imasim import mapper
-from imasim.workload import DepthwiseConv, TensorShape
+from imasim import dse, mapper
+from imasim.calibration import default_calibration
+from imasim.workload import DepthwiseConv, TensorShape, default_bottleneck
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,6 +62,23 @@ def test_traced_names_exist():
     finally:
         tracer.uninstall()
     assert not hasattr(mapper.job_stream, "__wrapped__")
+
+
+def test_traced_sweep_names_each_point_by_plan():
+    """`--trace 1` reads the per-plan `dse.evaluate_point.<plan>` spans,
+    which the tracer names from the call's `plan` argument."""
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        dse.run_sweep(dse.SweepSpec(workload=default_bottleneck(),
+                                    calibration=default_calibration()))
+    finally:
+        tracer.uninstall()
+    row = tracer.summary()[tracer_mod.SETUP_PASS]
+    for plan in ("sw", "ima8", "ima16", "hybrid"):
+        assert row[f"dse.evaluate_point.{plan}.calls"] == 5, plan
+        assert len(row[f"dse.evaluate_point.{plan}.durations_s"]) == 5, plan
 
 
 def test_emulate_pass_meets_its_gates():

@@ -15,6 +15,13 @@ SIMULATE_JSON_SHA256 = {
     "ima16": "e7ea25932153e402d67bdc934235058db869df8836ac422c68572eff6c5963e1",
     "hybrid": "2b62948ed65d6a54e4e59c712fb4f23edd2e2fe6bfa1c9b19b0585b06d235039",
 }
+# sha256 of the text report of `simulate --ports 4/4 --allocations`
+SIMULATE_TEXT_SHA256 = {
+    "sw": "0e97922abe79dabb09ccebbe8481554304d900ee39b0cadfdac5cd1c571546cc",
+    "ima8": "a3193bdbcbd0e34e29c73a8b170a5ec309be0b15e90db2a7da321af94300713c",
+    "ima16": "14afcaeb28f8aa21f578d6a95bfffc1ded7e63af8ce951f37932326f6e616f21",
+    "hybrid": "5216711ed225cdcb5578843c752afb51bccb7d788a9a4925a6d41ac4d074a4d2",
+}
 
 
 def run(capsys, *argv):
@@ -221,6 +228,23 @@ def test_overflowing_contention_factor_is_validation_error(
 
 
 @pytest.mark.parametrize("override", [
+    "energy.e_job_fixed_pj=1e308", "area.pcm_device_um2=1e308"])
+@pytest.mark.parametrize("command,options", [
+    ("simulate", ["--plan", "ima8", "--format", "json"]),
+    ("simulate", ["--plan", "ima8"]), ("sweep", ["--out", "sweep.csv"])],
+    ids=["simulate-json", "simulate", "sweep"])
+def test_non_finite_energy_or_area_is_validation_error(
+        capsys, tmp_path, monkeypatch, command, options, override):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, *options, "--set", override)
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert "not finite" in err
+    assert out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("override", [
     "ima.cfg_overhead_cycles=-5", "ima.job_handshake_cycles=-1",
     "ima.t_array_ns=1e400", "ima.cfg_overhead_cycles=1.5",
     "ima.overlap_streamin_compute=3", "ima.t_array_ns=1e300"])
@@ -239,6 +263,15 @@ def test_outputs_are_byte_identical(capsys, tmp_path):
                            "--format", "json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest, plan
+
+
+@pytest.mark.parametrize("plan", list(SIMULATE_TEXT_SHA256))
+def test_text_report_is_byte_identical(capsys, plan):
+    code, out, _ = run(capsys, "simulate", "--plan", plan, "--ports", "4/4",
+                       "--allocations")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SIMULATE_TEXT_SHA256[plan]
 
 
 def _network(**changes):

@@ -113,3 +113,25 @@ class TestBestBy:
     def test_none_metric_rows_skipped(self, rows):
         best = best_by(rows, "gops_per_mm2_pcm")
         assert best.plan != "sw"
+
+
+def test_sweep_maps_each_plan_once(cal, monkeypatch):
+    """A plan's allocations and stream geometries do not depend on ports,
+    so a sweep builds them once per plan: 3 + 3 + 2 accelerator layers
+    under ima8, ima16 and hybrid, not once per port config."""
+    from imasim import mapper
+
+    calls = {"map_layer": 0, "stream_geometry": 0}
+
+    def counting(name):
+        real = getattr(mapper, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(mapper, name, counting(name))
+    dse.run_sweep(SweepSpec(workload=default_bottleneck(), calibration=cal))
+    assert calls == {"map_layer": 8, "stream_geometry": 8}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -157,6 +158,25 @@ def test_models_reject_negative_parameters():
         AreaModel(pcm_device_um2=-1)
     with pytest.raises(ValueError):
         EnergyModel(e_job_fixed_pj=-0.1)
+
+
+@pytest.mark.parametrize("model", [AreaModel, EnergyModel])
+def test_every_model_parameter_rejects_negatives(model):
+    for field in dataclasses.fields(model):
+        with pytest.raises(ValueError):
+            model(**{field.name: -1.0})
+
+
+@pytest.mark.parametrize("section,field", [
+    ("energy", "e_job_fixed_pj"), ("energy", "e_stream_in_pj_per_byte"),
+    ("area", "pcm_device_um2")])
+def test_report_rejects_non_finite_energy_or_area(cal, section, field):
+    sched = schedule_for(cal, Plan.IMA8, 4)
+    allocs = timing.plan_allocations(default_bottleneck(), Plan.IMA8)
+    models = {"area": cal.area, "energy": cal.energy}
+    models[section] = dataclasses.replace(models[section], **{field: 1e308})
+    with pytest.raises(ValueError, match="not finite"):
+        metrics.report(sched, allocs, models["area"], models["energy"])
 
 
 def test_shipped_calibration_matches_dataclass_defaults(cal):

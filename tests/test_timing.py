@@ -16,12 +16,14 @@ from imasim.timing import (
     array_op_cycles,
 )
 from imasim.workload import (
+    BottleneckDescriptor,
     DepthwiseConv,
     PointwiseConv,
     StandardConv,
     TensorShape,
     default_bottleneck,
     macs,
+    output_shape,
 )
 
 BASELINE_CONV = StandardConv(k=3, c_in=32, c_out=64, stride=1, pad=1)
@@ -367,3 +369,97 @@ def test_schedule_builds_one_stream_geometry_per_accelerator_layer(
         want = [layer for layer in b.expand()
                 if timing.plan_strategy(plan, layer) is not None]
         assert calls == want, plan
+
+
+# --- placement table vs the per-layer walk it replaced ------------------------
+
+def _oracle_layer_name(layer, index):
+    if isinstance(layer, DepthwiseConv):
+        return f"l{index}.depthwise"
+    if isinstance(layer, PointwiseConv):
+        return f"l{index}.pointwise"
+    return f"l{index}.conv"
+
+
+def oracle_schedule(b, plan, ports, ima, cluster):
+    """Oracle: walk the bottleneck's layers one by one, accumulating phases,
+    bytes, jobs and MACs, as `bottleneck_schedule` did before the table."""
+    entries = []
+    total_macs = bytes_in = bytes_out = n_jobs = 0
+    shape = b.input_shape
+    for i, layer in enumerate(b.expand()):
+        name = _oracle_layer_name(layer, i)
+        strategy = timing.plan_strategy(plan, layer)
+        if strategy is None:
+            entries.append((name, timing.layer_cycles_sw(layer, shape, cluster)))
+        else:
+            geo = mapper.stream_geometry(layer, shape, strategy)
+            entries.append((name, timing.layer_cycles_ima(
+                layer, strategy, shape, ports, ima, cluster)))
+            bytes_in += geo.bytes_in
+            bytes_out += geo.bytes_out
+            n_jobs += geo.jobs
+        total_macs += macs(layer, shape)
+        shape = output_shape(layer, shape)
+    if b.residual:
+        entries.append(("residual", PhaseBreakdown(
+            sw=timing.residual_add_cycles(shape, cluster))))
+    totals = PhaseBreakdown()
+    for _, phases in entries:
+        totals = totals + phases
+    return timing.ScheduleResult(plan=plan, ports=ports, layers=tuple(entries),
+                                 totals=totals, macs=total_macs,
+                                 bytes_streamed_in=bytes_in,
+                                 bytes_streamed_out=bytes_out,
+                                 ima_jobs=n_jobs, f_hz=cluster.f_hz)
+
+
+def oracle_allocations(b, plan):
+    """Oracle: map every layer the plan puts on the accelerator."""
+    allocs = []
+    for layer in b.expand():
+        strategy = timing.plan_strategy(plan, layer)
+        if strategy is not None:
+            allocs.append(mapper.map_layer(layer, strategy))
+    return allocs
+
+
+def random_bottleneck(rng: np.random.Generator) -> BottleneckDescriptor:
+    """A small bottleneck: expansion 1 or more, stride 1 or 2, and a c_out
+    that equals c_in half the time, so residual blocks occur."""
+    c_in = int(rng.integers(1, 25))
+    return BottleneckDescriptor(
+        c_in=c_in,
+        expansion=1 if rng.random() < 0.3 else int(rng.integers(2, 7)),
+        c_out=c_in if rng.random() < 0.5 else int(rng.integers(1, 25)),
+        stride=int(rng.integers(1, 3)),
+        height=int(rng.integers(1, 13)), width=int(rng.integers(1, 13)))
+
+
+def test_placement_table_matches_per_layer_walk(cal):
+    rng = np.random.default_rng(11)
+    knobs = [(dataclasses.replace(cal.ima, overlap_streamin_compute=overlap),
+              dataclasses.replace(cal.cluster, contention_factor=factor))
+             for overlap in (False, True) for factor in (1.0, 1.37)]
+    port_pairs = [PortConfig(1, 1), PortConfig(1, 16), PortConfig(4, 4),
+                  PortConfig(8, 2), PortConfig(16, 16)]
+    kinds = set()
+    for _ in range(200):
+        b = random_bottleneck(rng)
+        kinds.add((b.expansion == 1, b.residual, b.stride))
+        for plan in Plan:
+            assert timing.plan_allocations(b, plan) \
+                == oracle_allocations(b, plan), (b, plan)
+            rows = timing.placements(b, plan)
+            for ports in port_pairs:
+                for ima, cluster in knobs:
+                    want = oracle_schedule(b, plan, ports, ima, cluster)
+                    got = timing.fold_schedule(rows, plan, ports, ima, cluster)
+                    assert got == want, (b, plan, ports, ima, cluster)
+            # the public entry point is the fold of a freshly built table
+            assert timing.bottleneck_schedule(b, plan, ports, ima, cluster) \
+                == want, (b, plan)
+    # every block shape the table distinguishes was drawn
+    assert kinds == {(single, residual, stride) for single in (True, False)
+                     for residual, stride in ((True, 1), (False, 1),
+                                              (False, 2))}

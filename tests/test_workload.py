@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -165,6 +166,21 @@ class TestSerialization:
     def test_network_round_trip(self):
         net = wl.mobilenet_v2_preset()
         assert wl.network_from_dict(wl.network_to_dict(net)) == net
+
+    def test_dict_key_order_is_fixed(self):
+        # files written from these dicts keep the documented key order
+        assert list(wl.layer_to_dict(StandardConv(3, 3, 32, 2, 1))) == \
+            ["type", "k", "c_in", "c_out", "stride", "pad"]
+        assert list(wl.layer_to_dict(DepthwiseConv(3, 8, pad=1))) == \
+            ["type", "k", "c", "stride", "pad"]
+        assert list(wl.layer_to_dict(PointwiseConv(4, 5))) == \
+            ["type", "c_in", "c_out"]
+        assert list(wl.bottleneck_to_dict(wl.default_bottleneck())) == \
+            ["schema_version", "kind", "c_in", "expansion", "c_out", "stride",
+             "height", "width"]
+        text = json.dumps(wl.network_to_dict(wl.mobilenet_v2_preset()))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "a06d8a2cf81cb87b2fd54aed8aa7cb2f4b07a1d655a8198b841e6e9c6e39f51a"
 
     def test_load_workload_file(self, tmp_path):
         path = tmp_path / "b.json"
