@@ -46,23 +46,26 @@ _SECTIONS = {
 
 
 # Type of a value per field annotation; ranges are checked by each section's
-# __post_init__. JSON integers are valid floats, bools are valid only as bools.
+# __post_init__. JSON integers are valid floats; bools are neither.
 _TYPE_CHECKS = {
     int: ("an integer",
           lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a finite number",
             lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
             and math.isfinite(v)),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
 }
 
 
 def calibration_from_dict(d: dict) -> Calibration:
     if not isinstance(d, dict):
         raise ValueError(f"calibration must be a JSON object, got {type(d).__name__}")
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported calibration schema_version {d.get('schema_version')!r}")
+    version = d.get("schema_version")
+    # 2.0 and true compare equal to integers; the version must be one
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported calibration schema_version {version!r}")
+    note = d.get("note", "")
+    if not isinstance(note, str):
+        raise ValueError(f"calibration note must be a string, got {note!r}")
     parts = {}
     for section, cls in _SECTIONS.items():
         fields = {f.name for f in dataclasses.fields(cls)}
@@ -78,7 +81,7 @@ def calibration_from_dict(d: dict) -> Calibration:
             if not ok(value):
                 raise ValueError(f"{section}.{name} must be {what}, got {value!r}")
         parts[section] = cls(**given)
-    return Calibration(note=d.get("note", ""), **parts)
+    return Calibration(note=note, **parts)
 
 
 def calibration_to_dict(cal: Calibration) -> dict:

@@ -80,7 +80,7 @@ def _apply_overrides(cal: Calibration, overrides: list[str]) -> Calibration:
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
-            raise ValidationError(f"override value {raw!r} is not a number/bool") \
+            raise ValidationError(f"override value {raw!r} is not a number") \
                 from None
         d[section][field] = value
     try:
@@ -125,6 +125,9 @@ def _phase_table(layers) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
+    if args.allocations and args.format == "json":
+        raise ValidationError("--allocations applies to the text report, "
+                              "not to --format json")
     cal = _load_calibration(args.calibration, args.set)
     b = _load_bottleneck(args)
     plan = _parse_plan(args.plan)

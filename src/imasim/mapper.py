@@ -17,8 +17,8 @@ off-diagonal weights are structural zeros. The crossbar cell count is
 
 so utilization is exactly 1/c_job: throughput per job and array area trade
 off directly. A non-divisible tail group is padded up to c_job columns
-(rows likewise), which keeps per-job timing uniform. Streams treat a dense
-layer as one group of all its channels.
+(rows likewise), which keeps per-job timing uniform. `map_layer` and the
+streams treat a dense layer as one group of all its channels.
 
 The streamer performs a virtual im2col over the flat HWC activation buffer:
 per job it fetches one contiguous slice per in-bounds receptive-field tap.
@@ -60,6 +60,7 @@ from .workload import (
     PointwiseConv,
     StandardConv,
     TensorShape,
+    in_channels,
     kernel_size,
     layer_pad,
     layer_stride,
@@ -130,48 +131,35 @@ class CrossbarAllocation:
         return DEVICES_PER_WEIGHT * self.weights_useful
 
 
-def map_standard(conv: StandardConv | PointwiseConv) -> CrossbarAllocation:
-    """Dense mapping of a standard or pointwise convolution.
-
-    One region of k*k*c_in rows by c_out columns, one job per output pixel;
-    the array is assumed sized to fit.
-    """
-    _check_strategy(conv, STANDARD_IM2COL)
-    k = kernel_size(conv)
-    rows = k * k * conv.c_in
-    cols = conv.c_out
-    weights = rows * cols
+def map_layer(layer: LayerDescriptor,
+              strategy: MappingStrategy) -> CrossbarAllocation:
+    """Map a layer as channel groups of c_job channels or, dense, all of
+    them. Group g is the region at (g*rows, g*cols) of k*k*width rows and
+    c_job (dense: c_out) columns; a partial tail group is padded up to
+    c_job. The array is assumed sized to fit."""
+    _check_strategy(layer, strategy)
+    c_in = in_channels(layer)
+    width = strategy.c_job or c_in
+    groups = -(-c_in // width)
+    rows = kernel_size(layer) ** 2 * width
+    cols = strategy.c_job or out_channels(layer)
+    regions = tuple(Region(g * rows, g * cols, rows, cols)
+                    for g in range(groups))
     return CrossbarAllocation(
-        layer=conv, strategy=STANDARD_IM2COL,
-        regions=(Region(0, 0, rows, cols),),
-        weights_total=weights, weights_useful=weights)
+        layer=layer, strategy=strategy, regions=regions,
+        weights_total=groups * rows * cols,  # k^2 * c * c_job when c_job | c
+        weights_useful=params(layer))
+
+
+def map_standard(conv: StandardConv | PointwiseConv) -> CrossbarAllocation:
+    """Dense mapping of a standard or pointwise convolution: one region."""
+    return map_layer(conv, STANDARD_IM2COL)
 
 
 def map_depthwise(dw: DepthwiseConv, c_job: int) -> CrossbarAllocation:
-    """Block-diagonal mapping of a depthwise convolution.
-
-    ceil(c / c_job) groups, each a (k*k*c_job) x c_job region packed
-    diagonally; a partial tail group is padded up to c_job. Useful weights
-    are the k*k*c real taps.
-    """
-    strategy = depthwise_block(c_job)
-    _check_strategy(dw, strategy)
-    groups = -(-dw.c // c_job)
-    block_rows = dw.k * dw.k * c_job
-    regions = tuple(Region(g * block_rows, g * c_job, block_rows, c_job)
-                    for g in range(groups))
-    weights_total = groups * block_rows * c_job  # k^2 * c * c_job when c_job | c
-    return CrossbarAllocation(
-        layer=dw, strategy=strategy, regions=regions,
-        weights_total=weights_total,
-        weights_useful=dw.k * dw.k * dw.c)
-
-
-def map_layer(layer: LayerDescriptor,
-              strategy: MappingStrategy) -> CrossbarAllocation:
-    if strategy.c_job is None:
-        return map_standard(layer)
-    return map_depthwise(layer, strategy.c_job)
+    """Block-diagonal mapping of a depthwise convolution: c_job channels
+    a region."""
+    return map_layer(dw, depthwise_block(c_job))
 
 
 def utilization(alloc: CrossbarAllocation) -> float:

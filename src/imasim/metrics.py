@@ -3,7 +3,7 @@
 Area: PCM area is the devices claimed (`CrossbarAllocation.devices_total`,
 padding included) times 18.2 um^2 each; every crossbar cell is a
 differential pair of `xbar.DEVICES_PER_WEIGHT` devices. The full-area
-variant adds the digital cluster and accelerator periphery.
+variant adds the digital cluster.
 
 Energy: streamed bytes and array operations carry fixed per-unit dynamic
 costs; the cores burn an active power while software phases run and an
@@ -37,7 +37,6 @@ UM2_PER_MM2 = 1e6
 class AreaModel:
     pcm_device_um2: float = 18.2
     cluster_mm2: float = 0.2228       # calibrated, not measured
-    ima_periphery_mm2: float = 0.0    # calibrated, not measured
 
     def __post_init__(self):
         if min(astuple(self)) < 0:
@@ -110,7 +109,7 @@ def report(schedule: ScheduleResult,
     joules = energy(schedule, energy_model)
     tops_per_w = ops / joules / 1e12 if joules > 0 else 0.0
     a_pcm = pcm_area_mm2(allocations, area_model)
-    a_full = a_pcm + (area_model.cluster_mm2 + area_model.ima_periphery_mm2)
+    a_full = a_pcm + area_model.cluster_mm2
     if not (math.isfinite(joules) and math.isfinite(a_full)):  # a_full >= a_pcm
         raise ValueError(f"energy {joules} J or area {a_full} mm2 is not finite: "
                          "an energy or area parameter overflows the float range")

@@ -1,8 +1,6 @@
 """Cycle model for accelerator jobs, software execution, and block schedules.
 
-An accelerator job runs three strictly sequential phases (a pipelined
-overlap of stream-in with compute can be enabled as a sensitivity knob,
-default off):
+An accelerator job runs three strictly sequential phases:
 
   stream-in   ceil(segment_bytes / (4 * n_load)) cycles per real segment;
               zero-fill segments cost nothing
@@ -40,13 +38,11 @@ accelerator consumes HWC directly and never marshals.
 
 The TCDM is modeled as an ideal word-interleaved scratchpad: segments are
 contiguous, every port moves one 4-byte word per cycle and no port ever
-waits on a bank conflict. `contention_factor` scales the stream phases for
-sensitivity studies and defaults to 1.0.
+waits on a bank conflict.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,7 +88,6 @@ class ClusterConfig:
     eta_conv: float = 0.55   # SIMD MAC utilization, standard/pointwise
     eta_dw: float = 0.1305   # calibrated, not measured (see calibration file)
     marshal_bytes_per_cycle: int = 8
-    contention_factor: float = 1.0
 
     def __post_init__(self):
         # the model divides by each of these
@@ -106,8 +101,6 @@ class ClusterConfig:
             if not 0 < eta <= 1 or self.sw_rate_micro(eta) < 1:
                 raise ValueError(f"{name} must be in (0, 1] and give at least "
                                  f"1e-6 software MACs per cycle, got {eta}")
-        if self.contention_factor < 1.0:
-            raise ValueError("contention factor must be >= 1.0")
 
     def sw_rate_micro(self, eta: float) -> int:
         """Software MACs per cycle in millionths, rounded: a scaled integer,
@@ -121,7 +114,6 @@ class ImaTiming:
     t_array_ns: float = 70.0
     cfg_overhead_cycles: int = 32   # one register-file burst per layer
     job_handshake_cycles: int = 2
-    overlap_streamin_compute: bool = False
 
     def __post_init__(self):
         if self.t_array_ns <= 0:
@@ -185,16 +177,6 @@ def array_op_cycles(t_array_ns: float, f_hz: int) -> int:
     return _ceil_div(int(t_array_ns * f_hz), 1_000_000_000)
 
 
-def _scale_contention(cycles: int, cluster: ClusterConfig) -> int:
-    if cluster.contention_factor == 1.0:
-        return cycles
-    scaled = cycles * cluster.contention_factor
-    if math.isinf(scaled):
-        raise ValueError(f"contention_factor {cluster.contention_factor} "
-                         f"scales {cycles} stream cycles past the float range")
-    return math.ceil(scaled)
-
-
 def layer_cycles_ima(layer: LayerDescriptor, strategy: MappingStrategy,
                      in_shape: TensorShape, ports: PortConfig,
                      ima: ImaTiming, cluster: ClusterConfig) -> PhaseBreakdown:
@@ -212,12 +194,7 @@ def _geometry_phases(geo: mapper.StreamGeometry, ports: PortConfig,
     beat_out = PORT_WIDTH_BYTES * ports.n_store
     si = geo.taps * sum(_ceil_div(r, beat_in) for r in geo.slices_in)
     so = geo.pixels * sum(_ceil_div(o, beat_out) for o in geo.slices_out)
-    si = _scale_contention(si, cluster)
-    so = _scale_contention(so, cluster)
     comp = n_jobs * array_op_cycles(ima.t_array_ns, cluster.f_hz)
-    if ima.overlap_streamin_compute:
-        # idealized pipelining: stream-in hides behind compute where possible
-        si = max(0, si - comp)
     cfg = ima.cfg_overhead_cycles + n_jobs * ima.job_handshake_cycles
     return PhaseBreakdown(streamin=si, compute=comp, streamout=so, config=cfg)
 

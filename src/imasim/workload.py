@@ -434,8 +434,10 @@ def _check_object(d, what: str, required: tuple[str, ...],
 def _check_schema(d: dict, kind: str, required: tuple[str, ...],
                   optional: tuple[str, ...] = ()):
     _check_object(d, kind, ("schema_version", "kind", *required), optional)
-    if d["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {d['schema_version']!r}")
+    version = d["schema_version"]
+    # 1.0 and true compare equal to 1; the version must be an integer
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
     if d["kind"] != kind:
         raise ValueError(f"expected kind {kind!r}, got {d['kind']!r}")
 

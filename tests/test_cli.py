@@ -120,14 +120,55 @@ def test_missing_calibration_file_is_io_error(capsys):
     assert code == EXIT_IO
 
 
-@pytest.mark.parametrize("schema_version", [99, 1])
+@pytest.mark.parametrize("schema_version", [99, 1, 2.0, True])
 def test_bad_calibration_is_validation_error(capsys, tmp_path, schema_version):
     from imasim.calibration import calibration_to_dict, default_calibration
     d = calibration_to_dict(default_calibration())
     d["schema_version"] = schema_version  # 1 is the pre-cleanup key set
     path = tmp_path / "cal.json"
     path.write_text(json.dumps(d))
-    assert run(capsys, "simulate", "--calibration", str(path))[0] == EXIT_VALIDATION
+    code, _, err = run(capsys, "simulate", "--calibration", str(path))
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+
+
+def test_non_string_calibration_note_is_validation_error(capsys, tmp_path):
+    from imasim.calibration import calibration_to_dict, default_calibration
+    d = calibration_to_dict(default_calibration())
+    d["note"] = 5
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(d))
+    code, _, err = run(capsys, "simulate", "--calibration", str(path))
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert "note" in err
+
+
+# knobs that only ever shipped at the value that switched their code off
+REMOVED_CALIBRATION_KEYS = {"cluster.contention_factor": 1.0,
+                            "ima.overlap_streamin_compute": False,
+                            "area.ima_periphery_mm2": 0.0}
+
+
+@pytest.mark.parametrize("given", ["set", "file"])
+@pytest.mark.parametrize("key", list(REMOVED_CALIBRATION_KEYS))
+def test_removed_calibration_key_is_validation_error(capsys, tmp_path, key,
+                                                     given):
+    from imasim.calibration import calibration_to_dict, default_calibration
+    section, field = key.split(".")
+    value = REMOVED_CALIBRATION_KEYS[key]
+    if given == "set":
+        options = ["--set", f"{key}={json.dumps(value)}"]
+    else:
+        d = calibration_to_dict(default_calibration())
+        d[section][field] = value
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(d))
+        options = ["--calibration", str(path)]
+    code, _, err = run(capsys, "simulate", *options)
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert f"unknown {section} calibration keys: ['{field}']" in err
 
 
 def test_calibration_override_changes_result(capsys, tmp_path):
@@ -180,6 +221,15 @@ def test_allocation_tables_in_report(capsys):
     assert "jobs/pixel: 24" in out
 
 
+def test_allocations_with_json_format_is_validation_error(capsys):
+    code, out, err = run(capsys, "simulate", "--plan", "ima8", "--format",
+                         "json", "--allocations")
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert "--allocations" in err and "text report" in err
+    assert out == ""
+
+
 def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -191,7 +241,8 @@ def assert_one_line_error(err):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("height", 32.5), ("width", True), ("c_in", "32"), ("stride", 1.0)])
+    ("height", 32.5), ("width", True), ("c_in", "32"), ("stride", 1.0),
+    ("schema_version", True), ("schema_version", 1.0)])
 def test_non_integer_geometry_is_validation_error(capsys, tmp_path, field, value):
     d = wl.bottleneck_to_dict(wl.default_bottleneck())
     d[field] = value

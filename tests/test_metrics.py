@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from imasim import mapper, metrics, timing
+from imasim.calibration import calibration_to_dict
 from imasim.metrics import AreaModel, EnergyModel
 from imasim.timing import PhaseBreakdown, Plan, PortConfig, ScheduleResult
 from imasim.workload import (
@@ -35,11 +36,10 @@ class TestArea:
 
     def test_empty_allocation(self, cal):
         assert metrics.pcm_area_mm2([], AREA) == 0.0
-        # with no PCM the full area is the cluster and periphery alone
+        # with no PCM the full area is the cluster alone
         rep = report_for(cal, Plan.SW, 4)
         assert rep.gops_per_mm2_pcm is None
-        assert rep.gops_per_mm2_full == \
-            rep.gops / (cal.area.cluster_mm2 + cal.area.ima_periphery_mm2)
+        assert rep.gops_per_mm2_full == rep.gops / cal.area.cluster_mm2
 
     def test_plan_area_ratios_exact(self):
         areas = {p: metrics.pcm_area_mm2(
@@ -185,6 +185,24 @@ def test_shipped_calibration_matches_dataclass_defaults(cal):
     assert cal.ima == timing.ImaTiming()
     assert cal.area == AreaModel()
     assert cal.energy == EnergyModel()
+
+
+def test_settable_calibration_keys(cal):
+    # a new calibration knob is a deliberate edit of this list
+    keys = sorted(f"{section}.{key}"
+                  for section, values in calibration_to_dict(cal).items()
+                  if isinstance(values, dict) for key in values)
+    assert keys == [
+        "area.cluster_mm2", "area.pcm_device_um2",
+        "cluster.eta_conv", "cluster.eta_dw", "cluster.f_hz",
+        "cluster.marshal_bytes_per_cycle", "cluster.n_cores",
+        "cluster.simd_macs_per_core_cycle",
+        "energy.e_job_fixed_pj", "energy.e_stream_in_pj_per_byte",
+        "energy.e_stream_out_pj_per_byte", "energy.p_cluster_static_mw",
+        "energy.p_core_active_mw", "energy.p_core_idle_mw",
+        "energy.p_ima_port_mw",
+        "ima.cfg_overhead_cycles", "ima.job_handshake_cycles",
+        "ima.t_array_ns"]
 
 
 def test_calibrated_cluster_area_flagged(cal):

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -229,33 +228,9 @@ class TestBottleneckSchedule:
 
 
 class TestModelKnobs:
-    def test_contention_factor_scales_stream_phases(self, cal):
-        contended = dataclasses.replace(cal.cluster, contention_factor=1.5)
-        base = timing.layer_cycles_ima(BASELINE_CONV, mapper.STANDARD_IM2COL,
-                                       BASELINE_IN, PortConfig(1, 1),
-                                       cal.ima, cal.cluster)
-        slow = timing.layer_cycles_ima(BASELINE_CONV, mapper.STANDARD_IM2COL,
-                                       BASELINE_IN, PortConfig(1, 1),
-                                       cal.ima, contended)
-        assert slow.streamin == int(base.streamin * 1.5)
-        assert slow.compute == base.compute
-
-    def test_streamin_compute_overlap_flag(self, cal):
-        overlapped = dataclasses.replace(cal.ima, overlap_streamin_compute=True)
-        base = timing.layer_cycles_ima(BASELINE_CONV, mapper.STANDARD_IM2COL,
-                                       BASELINE_IN, PortConfig(1, 1),
-                                       cal.ima, cal.cluster)
-        fast = timing.layer_cycles_ima(BASELINE_CONV, mapper.STANDARD_IM2COL,
-                                       BASELINE_IN, PortConfig(1, 1),
-                                       overlapped, cal.cluster)
-        assert fast.total < base.total
-        assert fast.streamin == base.streamin - base.compute
-
     def test_cluster_validation(self):
         with pytest.raises(ValueError):
             ClusterConfig(eta_conv=0.0)
-        with pytest.raises(ValueError):
-            ClusterConfig(contention_factor=0.5)
         with pytest.raises(ValueError):
             ImaTiming(t_array_ns=0)
         for field in ("n_cores", "simd_macs_per_core_cycle",
@@ -276,13 +251,8 @@ def enumerated_phases(stream, ports, ima, cluster) -> PhaseBreakdown:
              for job in stream.jobs)
     so = sum(timing.streamout_cycles(job.out_length, ports.n_store)
              for job in stream.jobs)
-    if cluster.contention_factor != 1.0:
-        si = math.ceil(si * cluster.contention_factor)
-        so = math.ceil(so * cluster.contention_factor)
     n_jobs = len(stream.jobs)
     comp = n_jobs * array_op_cycles(ima.t_array_ns, cluster.f_hz)
-    if ima.overlap_streamin_compute:
-        si = max(0, si - comp)
     return PhaseBreakdown(streamin=si, compute=comp, streamout=so,
                           config=ima.cfg_overhead_cycles
                           + n_jobs * ima.job_handshake_cycles)
@@ -318,9 +288,6 @@ def random_geometry(rng: np.random.Generator, kind: str):
 @pytest.mark.parametrize("kind", ["standard", "pointwise", "depthwise"])
 def test_closed_form_matches_enumerated_job_stream(cal, kind):
     rng = np.random.default_rng(["standard", "pointwise", "depthwise"].index(kind))
-    knobs = [(dataclasses.replace(cal.ima, overlap_streamin_compute=overlap),
-              dataclasses.replace(cal.cluster, contention_factor=factor))
-             for overlap in (False, True) for factor in (1.0, 1.37)]
     port_pairs = [PortConfig(a, b) for a in PORT_CHOICES for b in PORT_CHOICES]
     for _ in range(40):
         layer, strategy, shape = random_geometry(rng, kind)
@@ -333,12 +300,12 @@ def test_closed_form_matches_enumerated_job_stream(cal, kind):
         assert geo.bytes_out == sum(job.out_length for job in stream.jobs), case
         assert mapper.stream_bytes(stream) == (geo.bytes_in, geo.bytes_out)
         for ports in port_pairs:
-            for ima, cluster in knobs:
-                got = timing.layer_cycles_ima(layer, strategy, shape, ports,
-                                              ima, cluster)
-                want = enumerated_phases(stream, ports, ima, cluster)
-                assert got == want, f"{case} at {ports}, {ima}, {cluster}"
-                assert timing.stream_cycles_ima(stream, ports, ima, cluster) == want
+            got = timing.layer_cycles_ima(layer, strategy, shape, ports,
+                                          cal.ima, cal.cluster)
+            want = enumerated_phases(stream, ports, cal.ima, cal.cluster)
+            assert got == want, f"{case} at {ports}"
+            assert timing.stream_cycles_ima(stream, ports, cal.ima,
+                                            cal.cluster) == want
 
 
 def test_schedule_builds_no_job_streams(cal, monkeypatch):
@@ -438,9 +405,6 @@ def random_bottleneck(rng: np.random.Generator) -> BottleneckDescriptor:
 
 def test_placement_table_matches_per_layer_walk(cal):
     rng = np.random.default_rng(11)
-    knobs = [(dataclasses.replace(cal.ima, overlap_streamin_compute=overlap),
-              dataclasses.replace(cal.cluster, contention_factor=factor))
-             for overlap in (False, True) for factor in (1.0, 1.37)]
     port_pairs = [PortConfig(1, 1), PortConfig(1, 16), PortConfig(4, 4),
                   PortConfig(8, 2), PortConfig(16, 16)]
     kinds = set()
@@ -452,13 +416,13 @@ def test_placement_table_matches_per_layer_walk(cal):
                 == oracle_allocations(b, plan), (b, plan)
             rows = timing.placements(b, plan)
             for ports in port_pairs:
-                for ima, cluster in knobs:
-                    want = oracle_schedule(b, plan, ports, ima, cluster)
-                    got = timing.fold_schedule(rows, plan, ports, ima, cluster)
-                    assert got == want, (b, plan, ports, ima, cluster)
+                want = oracle_schedule(b, plan, ports, cal.ima, cal.cluster)
+                got = timing.fold_schedule(rows, plan, ports, cal.ima,
+                                           cal.cluster)
+                assert got == want, (b, plan, ports)
             # the public entry point is the fold of a freshly built table
-            assert timing.bottleneck_schedule(b, plan, ports, ima, cluster) \
-                == want, (b, plan)
+            assert timing.bottleneck_schedule(b, plan, ports, cal.ima,
+                                              cal.cluster) == want, (b, plan)
     # every block shape the table distinguishes was drawn
     assert kinds == {(single, residual, stride) for single in (True, False)
                      for residual, stride in ((True, 1), (False, 1),

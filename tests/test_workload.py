@@ -189,10 +189,16 @@ class TestSerialization:
         assert wl.load_workload(str(path)) == b
 
     def test_bad_schema_version_rejected(self):
-        d = wl.bottleneck_to_dict(wl.default_bottleneck())
-        d["schema_version"] = 99
-        with pytest.raises(ValueError):
-            wl.bottleneck_from_dict(d)
+        # true and 1.0 compare equal to 1 but are not the integer version
+        for version in (99, True, 1.0):
+            d = wl.bottleneck_to_dict(wl.default_bottleneck())
+            d["schema_version"] = version
+            with pytest.raises(ValueError, match="schema_version"):
+                wl.bottleneck_from_dict(d)
+            d = wl.network_to_dict(wl.mobilenet_v2_preset())
+            d["schema_version"] = version
+            with pytest.raises(ValueError, match="schema_version"):
+                wl.network_from_dict(d)
 
 
 def test_invalid_descriptors_rejected():
