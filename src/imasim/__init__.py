@@ -1,7 +1,7 @@
 """Cycle-approximate simulator, functional crossbar emulator and DSE toolkit
 for an analog in-memory accelerator tightly coupled to an 8-core cluster."""
 
-from .calibration import Calibration, default_calibration, load_calibration
+from .calibration import Calibration, default_calibration
 from .mapper import (
     CrossbarAllocation,
     JobStream,

@@ -1,14 +1,15 @@
 """Calibration bundle: every tunable constant of the cost model in one place.
 
-The shipped `calibration/default.json` contains the defaults; a user file
-passed via `--calibration` overrides any subset of fields. Fitted constants
-(eta_dw, energy parameters, cluster area) are labeled as such in the file
-and in report headers.
+The shipped `calibration/default.json` is the only copy of each value. A
+file passed via `--calibration` overrides any subset of fields, an omitted
+key taking its shipped value, and `--set` overlays single keys on either;
+a top-level key other than `schema_version`, `note` and the sections is
+rejected. Fitted constants (eta_dw, energy parameters, cluster area) are
+labeled as such in the file and in report headers.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import typing
@@ -37,7 +38,7 @@ class Calibration:
                              "the array operation's cycle count") from None
 
 
-_SECTIONS = {
+SECTIONS = {
     "cluster": ClusterConfig,
     "ima": ImaTiming,
     "area": AreaModel,
@@ -56,46 +57,43 @@ _TYPE_CHECKS = {
 }
 
 
+def shipped() -> dict:
+    """A fresh copy of the shipped calibration file's JSON object."""
+    text = resources.files("imasim").joinpath("calibration/default.json").read_text()
+    return json.loads(text)
+
+
 def calibration_from_dict(d: dict) -> Calibration:
+    """The calibration of a JSON object; omitted keys take shipped values."""
     if not isinstance(d, dict):
         raise ValueError(f"calibration must be a JSON object, got {type(d).__name__}")
     version = d.get("schema_version")
     # 2.0 and true compare equal to integers; the version must be one
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported calibration schema_version {version!r}")
+    unknown = set(d) - {"schema_version", "note", *SECTIONS}
+    if unknown:
+        raise ValueError(f"unknown calibration keys: {sorted(unknown)}")
     note = d.get("note", "")
     if not isinstance(note, str):
         raise ValueError(f"calibration note must be a string, got {note!r}")
+    base = shipped()
     parts = {}
-    for section, cls in _SECTIONS.items():
-        fields = {f.name for f in dataclasses.fields(cls)}
+    for section, cls in SECTIONS.items():
         given = d.get(section, {})
         if not isinstance(given, dict):
             raise ValueError(f"calibration {section} must be a JSON object")
-        unknown = set(given) - fields
+        hints = typing.get_type_hints(cls)  # one per field
+        unknown = set(given) - set(hints)
         if unknown:
             raise ValueError(f"unknown {section} calibration keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
         for name, value in given.items():
             what, ok = _TYPE_CHECKS[hints[name]]
             if not ok(value):
                 raise ValueError(f"{section}.{name} must be {what}, got {value!r}")
-        parts[section] = cls(**given)
+        parts[section] = cls(**{**base[section], **given})
     return Calibration(note=note, **parts)
 
 
-def calibration_to_dict(cal: Calibration) -> dict:
-    d = {"schema_version": SCHEMA_VERSION, "note": cal.note}
-    for section in _SECTIONS:
-        d[section] = dataclasses.asdict(getattr(cal, section))
-    return d
-
-
-def load_calibration(path: str) -> Calibration:
-    with open(path) as f:
-        return calibration_from_dict(json.load(f))
-
-
 def default_calibration() -> Calibration:
-    text = resources.files("imasim").joinpath("calibration/default.json").read_text()
-    return calibration_from_dict(json.loads(text))
+    return calibration_from_dict(shipped())

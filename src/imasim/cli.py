@@ -17,8 +17,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import dse, mapper, metrics, timing, verify, workload
-from .calibration import Calibration, default_calibration, load_calibration
+from . import calibration, dse, mapper, metrics, timing, verify, workload
 from .timing import Plan, PortConfig
 
 EXIT_OK = 0
@@ -48,43 +47,37 @@ def _parse_plan(text: str) -> Plan:
             from None
 
 
-def _load_calibration(path: str | None,
-                      overrides: list[str] | None = None) -> Calibration:
+def _load_calibration(path: str | None, overrides: list[str] | None = None
+                      ) -> calibration.Calibration:
+    """The shipped or `path` calibration with each `--set` override over it."""
     if path is None:
-        cal = default_calibration()
+        d = calibration.shipped()
     else:
         try:
-            cal = load_calibration(path)
+            with open(path) as f:
+                d = json.load(f)
+            calibration.calibration_from_dict(d)  # its errors name the file
         except OSError as e:
             raise OSError(f"cannot read calibration file: {e}") from e
         except (ValueError, TypeError, KeyError) as e:
             raise ValidationError(f"bad calibration file {path}: {e}") from None
-    if overrides:
-        cal = _apply_overrides(cal, overrides)
-    return cal
-
-
-def _apply_overrides(cal: Calibration, overrides: list[str]) -> Calibration:
-    from .calibration import calibration_from_dict, calibration_to_dict
-
-    d = calibration_to_dict(cal)
-    for item in overrides:
+    for item in overrides or ():
         try:
             key, raw = item.split("=", 1)
             section, field = key.split(".", 1)
         except ValueError:
             raise ValidationError(
                 f"bad override {item!r}; expected section.key=value") from None
-        if section not in ("cluster", "ima", "area", "energy"):
+        if section not in calibration.SECTIONS:
             raise ValidationError(f"unknown calibration section {section!r}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             raise ValidationError(f"override value {raw!r} is not a number") \
                 from None
-        d[section][field] = value
+        d = {**d, section: {**d.get(section, {}), field: value}}
     try:
-        return calibration_from_dict(d)
+        return calibration.calibration_from_dict(d)
     except (ValueError, TypeError) as e:
         raise ValidationError(f"bad calibration override: {e}") from None
 
@@ -268,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=None,
                        metavar="SECTION.KEY=VALUE",
                        help="override one calibration constant (sections: "
-                            "cluster, ima, area, energy; repeatable; e.g. "
-                            "--set cluster.eta_dw=0.2)")
+                            f"{', '.join(calibration.SECTIONS)}; repeatable; "
+                            "e.g. --set cluster.eta_dw=0.2)")
 
     p_sim = sub.add_parser("simulate", help="evaluate one design point")
     add_common(p_sim)

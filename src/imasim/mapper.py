@@ -65,6 +65,7 @@ from .workload import (
     layer_pad,
     layer_stride,
     out_channels,
+    network_params,
     output_shape,
     params,
     weight_shape,
@@ -446,11 +447,10 @@ def network_device_count(net: NetworkDescriptor,
     """Sum crossbar device requirements over a network under a strategy policy."""
     devices_total = 0
     devices_useful = 0
-    params_total = 0
     for nl in net.layers:
         alloc = map_layer(nl.layer, policy(nl.layer))
         devices_total += alloc.devices_total
         devices_useful += alloc.devices_useful
-        params_total += params(nl.layer)
+    params_total = network_params(net)
     ratio = devices_total / (DEVICES_PER_WEIGHT * params_total)
     return DeviceCountReport(devices_total, devices_useful, params_total, ratio)

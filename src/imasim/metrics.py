@@ -1,7 +1,7 @@
 """Throughput, energy-efficiency and area-efficiency models.
 
 Area: PCM area is the devices claimed (`CrossbarAllocation.devices_total`,
-padding included) times 18.2 um^2 each; every crossbar cell is a
+padding included) times `pcm_device_um2` each; every crossbar cell is a
 differential pair of `xbar.DEVICES_PER_WEIGHT` devices. The full-area
 variant adds the digital cluster.
 
@@ -35,8 +35,8 @@ UM2_PER_MM2 = 1e6
 
 @dataclass(frozen=True, slots=True)
 class AreaModel:
-    pcm_device_um2: float = 18.2
-    cluster_mm2: float = 0.2228       # calibrated, not measured
+    pcm_device_um2: float
+    cluster_mm2: float
 
     def __post_init__(self):
         if min(astuple(self)) < 0:
@@ -48,13 +48,13 @@ class AreaModel:
 
 @dataclass(frozen=True, slots=True)
 class EnergyModel:
-    e_stream_in_pj_per_byte: float = 0.33
-    e_stream_out_pj_per_byte: float = 0.33
-    e_job_fixed_pj: float = 150.0       # DAC + array + ADC per operation
-    p_core_active_mw: float = 2.0       # 8-core cluster, software phases
-    p_core_idle_mw: float = 0.8
-    p_cluster_static_mw: float = 2.8
-    p_ima_port_mw: float = 0.04         # per 32-bit TCDM master port
+    e_stream_in_pj_per_byte: float
+    e_stream_out_pj_per_byte: float
+    e_job_fixed_pj: float        # DAC + array + ADC per operation
+    p_core_active_mw: float      # all cores, software phases
+    p_core_idle_mw: float
+    p_cluster_static_mw: float
+    p_ima_port_mw: float         # per 32-bit TCDM master port
 
     def __post_init__(self):
         if min(astuple(self)) < 0:
@@ -103,21 +103,26 @@ def report(schedule: ScheduleResult,
            area_model: AreaModel,
            energy_model: EnergyModel) -> MetricsReport:
     """Combine a schedule with area/energy models into the headline metrics;
-    raises ValueError when the energy or an area is not finite."""
+    raises ValueError when the energy, an area or a ratio is not finite."""
     ops = 2 * schedule.macs
     gops = ops * schedule.f_hz / (schedule.total_cycles * 1e9)
     joules = energy(schedule, energy_model)
     tops_per_w = ops / joules / 1e12 if joules > 0 else 0.0
     a_pcm = pcm_area_mm2(allocations, area_model)
     a_full = a_pcm + area_model.cluster_mm2
-    if not (math.isfinite(joules) and math.isfinite(a_full)):  # a_full >= a_pcm
-        raise ValueError(f"energy {joules} J or area {a_full} mm2 is not finite: "
-                         "an energy or area parameter overflows the float range")
+    gops_per_mm2_pcm = gops / a_pcm if a_pcm > 0 else None
+    gops_per_mm2_full = gops / a_full
+    # a_full >= a_pcm; a ratio overflows when its divisor is tiny
+    if not all(map(math.isfinite, (joules, a_full, tops_per_w, gops_per_mm2_full,
+                                   gops_per_mm2_pcm or 0.0))):
+        raise ValueError(f"energy {joules} J, area {a_full} mm2 or a ratio of them "
+                         "is not finite: an energy or area parameter leaves the "
+                         "float range")
     return MetricsReport(
         gops=gops,
         tops_per_w=tops_per_w,
-        gops_per_mm2_pcm=(gops / a_pcm) if a_pcm > 0 else None,
-        gops_per_mm2_full=gops / a_full,
+        gops_per_mm2_pcm=gops_per_mm2_pcm,
+        gops_per_mm2_full=gops_per_mm2_full,
         total_cycles=schedule.total_cycles,
         wall_time_s=schedule.wall_time_s,
         energy_j=joules,

@@ -29,7 +29,7 @@ and one configuration burst is charged per layer (multiple jobs pipeline
 behind a single register-file setup). Handshake cycles are reported inside
 the `config` bucket of the phase breakdown.
 
-Software execution on the 8-core cluster is throughput-modeled:
+Software execution on the cluster's cores is throughput-modeled:
 macs / (n_cores * simd_macs_per_core_cycle * eta), with a high utilization
 factor for standard/pointwise convolutions and a separate calibrated factor
 for depthwise. A software depthwise additionally pays an HWC->CHW->HWC
@@ -82,12 +82,12 @@ class PortConfig:
 
 @dataclass(frozen=True, slots=True)
 class ClusterConfig:
-    n_cores: int = 8
-    f_hz: int = 250_000_000
-    simd_macs_per_core_cycle: int = 4
-    eta_conv: float = 0.55   # SIMD MAC utilization, standard/pointwise
-    eta_dw: float = 0.1305   # calibrated, not measured (see calibration file)
-    marshal_bytes_per_cycle: int = 8
+    n_cores: int
+    f_hz: int
+    simd_macs_per_core_cycle: int
+    eta_conv: float   # SIMD MAC utilization, standard/pointwise
+    eta_dw: float     # SIMD MAC utilization, depthwise
+    marshal_bytes_per_cycle: int
 
     def __post_init__(self):
         # the model divides by each of these
@@ -111,9 +111,9 @@ class ClusterConfig:
 
 @dataclass(frozen=True, slots=True)
 class ImaTiming:
-    t_array_ns: float = 70.0
-    cfg_overhead_cycles: int = 32   # one register-file burst per layer
-    job_handshake_cycles: int = 2
+    t_array_ns: float
+    cfg_overhead_cycles: int   # one register-file burst per layer
+    job_handshake_cycles: int
 
     def __post_init__(self):
         if self.t_array_ns <= 0:

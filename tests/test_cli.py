@@ -4,6 +4,7 @@ import json
 import pytest
 
 from imasim import workload as wl
+from imasim.calibration import shipped
 from imasim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 # sha256 of the default `sweep` CSV and of `simulate --ports 4/4 --format json`
@@ -122,8 +123,7 @@ def test_missing_calibration_file_is_io_error(capsys):
 
 @pytest.mark.parametrize("schema_version", [99, 1, 2.0, True])
 def test_bad_calibration_is_validation_error(capsys, tmp_path, schema_version):
-    from imasim.calibration import calibration_to_dict, default_calibration
-    d = calibration_to_dict(default_calibration())
+    d = shipped()
     d["schema_version"] = schema_version  # 1 is the pre-cleanup key set
     path = tmp_path / "cal.json"
     path.write_text(json.dumps(d))
@@ -133,8 +133,7 @@ def test_bad_calibration_is_validation_error(capsys, tmp_path, schema_version):
 
 
 def test_non_string_calibration_note_is_validation_error(capsys, tmp_path):
-    from imasim.calibration import calibration_to_dict, default_calibration
-    d = calibration_to_dict(default_calibration())
+    d = shipped()
     d["note"] = 5
     path = tmp_path / "cal.json"
     path.write_text(json.dumps(d))
@@ -154,13 +153,12 @@ REMOVED_CALIBRATION_KEYS = {"cluster.contention_factor": 1.0,
 @pytest.mark.parametrize("key", list(REMOVED_CALIBRATION_KEYS))
 def test_removed_calibration_key_is_validation_error(capsys, tmp_path, key,
                                                      given):
-    from imasim.calibration import calibration_to_dict, default_calibration
     section, field = key.split(".")
     value = REMOVED_CALIBRATION_KEYS[key]
     if given == "set":
         options = ["--set", f"{key}={json.dumps(value)}"]
     else:
-        d = calibration_to_dict(default_calibration())
+        d = shipped()
         d[section][field] = value
         path = tmp_path / "cal.json"
         path.write_text(json.dumps(d))
@@ -171,9 +169,20 @@ def test_removed_calibration_key_is_validation_error(capsys, tmp_path, key,
     assert f"unknown {section} calibration keys: ['{field}']" in err
 
 
+def test_unknown_top_level_calibration_key_is_validation_error(capsys,
+                                                               tmp_path):
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps({"schema_version": 2,
+                                "clustre": {"n_cores": 4}}))
+    code, out, err = run(capsys, "simulate", "--calibration", str(path))
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert "unknown calibration keys: ['clustre']" in err
+    assert out == ""
+
+
 def test_calibration_override_changes_result(capsys, tmp_path):
-    from imasim.calibration import calibration_to_dict, default_calibration
-    d = calibration_to_dict(default_calibration())
+    d = shipped()
     d["cluster"]["f_hz"] = 500_000_000
     path = tmp_path / "cal.json"
     path.write_text(json.dumps(d))
@@ -278,16 +287,28 @@ def test_overflowing_contention_factor_is_validation_error(
     assert "contention_factor" in err
 
 
-@pytest.mark.parametrize("override", [
-    "energy.e_job_fixed_pj=1e308", "area.pcm_device_um2=1e308"])
-@pytest.mark.parametrize("command,options", [
-    ("simulate", ["--plan", "ima8", "--format", "json"]),
-    ("simulate", ["--plan", "ima8"]), ("sweep", ["--out", "sweep.csv"])],
-    ids=["simulate-json", "simulate", "sweep"])
+NON_FINITE_COMMANDS = {
+    "simulate-json": ["simulate", "--plan", "ima8", "--format", "json"],
+    "simulate-sw-json": ["simulate", "--plan", "sw", "--format", "json"],
+    "simulate": ["simulate", "--plan", "ima8"],
+    "sweep": ["sweep", "--out", "sweep.csv"]}
+NON_FINITE_CASES = [
+    *((command, override) for command in ("simulate-json", "simulate", "sweep")
+      for override in ("energy.e_job_fixed_pj=1e308",
+                       "area.pcm_device_um2=1e308")),
+    # a tiny positive area makes a GOPS/mm2 ratio infinite
+    ("simulate-sw-json", "area.cluster_mm2=1e-320"),
+    ("simulate-json", "area.pcm_device_um2=1e-320"),
+    ("sweep", "area.cluster_mm2=1e-320")]
+
+
+@pytest.mark.parametrize("command,override", NON_FINITE_CASES,
+                         ids=[f"{c}-{o}" for c, o in NON_FINITE_CASES])
 def test_non_finite_energy_or_area_is_validation_error(
-        capsys, tmp_path, monkeypatch, command, options, override):
+        capsys, tmp_path, monkeypatch, command, override):
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, command, *options, "--set", override)
+    code, out, err = run(capsys, *NON_FINITE_COMMANDS[command],
+                         "--set", override)
     assert code == EXIT_VALIDATION
     assert_one_line_error(err)
     assert "not finite" in err

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from imasim import mapper, metrics, timing
-from imasim.calibration import calibration_to_dict
-from imasim.metrics import AreaModel, EnergyModel
+from imasim.calibration import default_calibration, shipped
+from imasim.metrics import EnergyModel
 from imasim.timing import PhaseBreakdown, Plan, PortConfig, ScheduleResult
 from imasim.workload import (
     BottleneckDescriptor,
@@ -14,7 +14,7 @@ from imasim.workload import (
     default_bottleneck,
 )
 
-AREA = AreaModel()
+AREA = default_calibration().area
 
 
 def schedule_for(cal, plan, n):
@@ -153,44 +153,51 @@ class TestReport:
         assert d["gops"] == rep.gops
 
 
-def test_models_reject_negative_parameters():
+def test_models_reject_negative_parameters(cal):
     with pytest.raises(ValueError):
-        AreaModel(pcm_device_um2=-1)
+        dataclasses.replace(cal.area, pcm_device_um2=-1)
     with pytest.raises(ValueError):
-        EnergyModel(e_job_fixed_pj=-0.1)
+        dataclasses.replace(cal.energy, e_job_fixed_pj=-0.1)
 
 
-@pytest.mark.parametrize("model", [AreaModel, EnergyModel])
-def test_every_model_parameter_rejects_negatives(model):
+@pytest.mark.parametrize("section", ["area", "energy"],
+                         ids=["AreaModel", "EnergyModel"])
+def test_every_model_parameter_rejects_negatives(cal, section):
+    model = getattr(cal, section)
     for field in dataclasses.fields(model):
         with pytest.raises(ValueError):
-            model(**{field.name: -1.0})
+            dataclasses.replace(model, **{field.name: -1.0})
 
 
-@pytest.mark.parametrize("section,field", [
-    ("energy", "e_job_fixed_pj"), ("energy", "e_stream_in_pj_per_byte"),
-    ("area", "pcm_device_um2")])
-def test_report_rejects_non_finite_energy_or_area(cal, section, field):
-    sched = schedule_for(cal, Plan.IMA8, 4)
-    allocs = timing.plan_allocations(default_bottleneck(), Plan.IMA8)
+@pytest.mark.parametrize("plan,section,changes", [
+    pytest.param(Plan.IMA8, "energy", {"e_job_fixed_pj": 1e308},
+                 id="energy-e_job_fixed_pj"),
+    pytest.param(Plan.IMA8, "energy", {"e_stream_in_pj_per_byte": 1e308},
+                 id="energy-e_stream_in_pj_per_byte"),
+    pytest.param(Plan.IMA8, "area", {"pcm_device_um2": 1e308},
+                 id="area-pcm_device_um2"),
+    # a tiny positive area or energy makes a ratio infinite
+    pytest.param(Plan.SW, "area", {"cluster_mm2": 1e-320},
+                 id="sw-area-cluster_mm2-tiny"),
+    pytest.param(Plan.IMA8, "area", {"pcm_device_um2": 1e-320},
+                 id="area-pcm_device_um2-tiny"),
+    pytest.param(Plan.IMA8, "energy",
+                 {**{f.name: 0.0 for f in dataclasses.fields(EnergyModel)},
+                  "e_job_fixed_pj": 1e-300},
+                 id="energy-e_job_fixed_pj-tiny")])
+def test_report_rejects_non_finite_energy_or_area(cal, plan, section, changes):
+    sched = schedule_for(cal, plan, 4)
+    allocs = timing.plan_allocations(default_bottleneck(), plan)
     models = {"area": cal.area, "energy": cal.energy}
-    models[section] = dataclasses.replace(models[section], **{field: 1e308})
+    models[section] = dataclasses.replace(models[section], **changes)
     with pytest.raises(ValueError, match="not finite"):
         metrics.report(sched, allocs, models["area"], models["energy"])
 
 
-def test_shipped_calibration_matches_dataclass_defaults(cal):
-    # default.json and the dataclass defaults are two copies of one fact
-    assert cal.cluster == timing.ClusterConfig()
-    assert cal.ima == timing.ImaTiming()
-    assert cal.area == AreaModel()
-    assert cal.energy == EnergyModel()
-
-
-def test_settable_calibration_keys(cal):
+def test_settable_calibration_keys():
     # a new calibration knob is a deliberate edit of this list
     keys = sorted(f"{section}.{key}"
-                  for section, values in calibration_to_dict(cal).items()
+                  for section, values in shipped().items()
                   if isinstance(values, dict) for key in values)
     assert keys == [
         "area.cluster_mm2", "area.pcm_device_um2",

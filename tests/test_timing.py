@@ -7,8 +7,6 @@ from imasim import mapper, timing
 from imasim.mapper import Segment, depthwise_block
 from imasim.timing import (
     PORT_CHOICES,
-    ClusterConfig,
-    ImaTiming,
     PhaseBreakdown,
     Plan,
     PortConfig,
@@ -228,19 +226,19 @@ class TestBottleneckSchedule:
 
 
 class TestModelKnobs:
-    def test_cluster_validation(self):
+    def test_cluster_validation(self, cal):
         with pytest.raises(ValueError):
-            ClusterConfig(eta_conv=0.0)
+            dataclasses.replace(cal.cluster, eta_conv=0.0)
         with pytest.raises(ValueError):
-            ImaTiming(t_array_ns=0)
+            dataclasses.replace(cal.ima, t_array_ns=0)
         for field in ("n_cores", "simd_macs_per_core_cycle",
                       "marshal_bytes_per_cycle", "f_hz"):
             with pytest.raises(ValueError):
-                ClusterConfig(**{field: 0})
+                dataclasses.replace(cal.cluster, **{field: 0})
         for field in ("cfg_overhead_cycles", "job_handshake_cycles"):
             with pytest.raises(ValueError):
-                ImaTiming(**{field: -1})
-            ImaTiming(**{field: 0})  # zero overhead is allowed
+                dataclasses.replace(cal.ima, **{field: -1})
+            dataclasses.replace(cal.ima, **{field: 0})  # zero overhead is allowed
 
 
 # --- closed form vs enumerated job streams ------------------------------------
