@@ -87,7 +87,7 @@ def energy(schedule: ScheduleResult, model: EnergyModel) -> float:
 class MetricsReport:
     gops: float
     tops_per_w: float
-    gops_per_mm2_pcm: float | None  # undefined when no PCM is allocated
+    gops_per_mm2_pcm: float | None  # undefined when no device is allocated
     gops_per_mm2_full: float
     total_cycles: int
     wall_time_s: float
@@ -105,12 +105,20 @@ def report(schedule: ScheduleResult,
     """Combine a schedule with area/energy models into the headline metrics;
     raises ValueError when the energy, an area or a ratio is not finite."""
     ops = 2 * schedule.macs
-    gops = ops * schedule.f_hz / (schedule.total_cycles * 1e9)
+    try:
+        gops = ops * schedule.f_hz / (schedule.total_cycles * 1e9)
+    except OverflowError:  # the int product is too large for a float
+        raise ValueError("throughput is not finite: cluster.f_hz leaves the "
+                         "float range") from None
     joules = energy(schedule, energy_model)
     tops_per_w = ops / joules / 1e12 if joules > 0 else 0.0
+    allocations = tuple(allocations)
     a_pcm = pcm_area_mm2(allocations, area_model)
     a_full = a_pcm + area_model.cluster_mm2
-    gops_per_mm2_pcm = gops / a_pcm if a_pcm > 0 else None
+    gops_per_mm2_pcm = None
+    if any(a.devices_total for a in allocations):
+        # an area that underflows to 0.0 still holds devices
+        gops_per_mm2_pcm = gops / a_pcm if a_pcm > 0 else math.inf
     gops_per_mm2_full = gops / a_full
     # a_full >= a_pcm; a ratio overflows when its divisor is tiny
     if not all(map(math.isfinite, (joules, a_full, tops_per_w, gops_per_mm2_full,

@@ -211,11 +211,16 @@ def stream_cycles_ima(stream: JobStream, ports: PortConfig,
 def layer_cycles_sw(layer: LayerDescriptor, in_shape: TensorShape,
                     cluster: ClusterConfig) -> PhaseBreakdown:
     """Software phase breakdown of one layer on the 8-core cluster."""
-    n_macs = macs(layer, in_shape)
+    return _sw_phases(layer, in_shape, macs(layer, in_shape), cluster)
+
+
+def _sw_phases(layer: LayerDescriptor, in_shape: TensorShape, n_macs: int,
+               cluster: ClusterConfig) -> PhaseBreakdown:
+    """`layer_cycles_sw` of a layer whose MAC count is known."""
     if isinstance(layer, DepthwiseConv):
         eta = cluster.eta_dw
-        elems = in_shape.height * in_shape.width * in_shape.channels
-        marshal = _ceil_div(2 * elems, cluster.marshal_bytes_per_cycle)
+        marshal = _ceil_div(2 * in_shape.size_bytes,
+                            cluster.marshal_bytes_per_cycle)
     else:
         eta = cluster.eta_conv
         marshal = 0
@@ -319,7 +324,7 @@ def fold_schedule(rows: tuple[Placement, ...], plan: Plan, ports: PortConfig,
     entries: list[tuple[str, PhaseBreakdown]] = []
     for row in rows:
         if row.geometry is None:
-            phases = layer_cycles_sw(row.layer, row.in_shape, cluster)
+            phases = _sw_phases(row.layer, row.in_shape, row.macs, cluster)
         else:
             phases = _geometry_phases(row.geometry, ports, ima, cluster)
         entries.append((row.name, phases))

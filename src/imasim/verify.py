@@ -2,24 +2,29 @@
 
 `reference_conv` computes a quantized convolution the direct way: for each
 of the k*k filter taps, one strided slice of the zero-padded input times
-that tap's weights, summed over the output grid in float64, then the same
-ADC scale/round/clamp policy the crossbar applies. The sum is exact: every
-partial sum is an integer of magnitude at most k*k*c_in*8*255, and layers
-whose bound reaches 2**53 are rejected. It never touches the mapper, its
-gathered inputs or the crossbar, so comparing it against the emulated
-pipeline (program regions -> stream jobs -> mvm -> assemble output)
-validates the mapping and streaming machinery, not the requantization
-choice.
+that tap's weights, summed over the output grid, then the same ADC
+scale/round/clamp policy the crossbar applies. The sum is exact: every
+partial sum is an integer of magnitude at most k*k*c_in*8*255, summed in
+float64 for a dense layer (layers whose bound reaches 2**53 are rejected)
+and in int32 for a depthwise one, whose outputs sum only k*k products
+(kernels with k*k*8*255 at or above 2**31 are rejected). It never touches
+the mapper, its gathered inputs or the crossbar, so comparing it against
+the emulated pipeline (program regions -> stream jobs -> bitline sums ->
+one ADC call) validates the mapping and streaming machinery, not the
+requantization choice.
 
 With noise disabled the two paths must agree bit for bit on every layer
 kind, including padded borders and partial depthwise channel groups.
 
 `execute_job_stream` runs a layer region by region: `mapper.gather_inputs`
 gathers the region's (P, rows) inputs by whole input pixels, through one
-(P, k^2) tap index that all regions share, and one batched `mvm` call runs
-them, noisy or not. Jobs reach each region's array in stream order, so
-seeded noise draws match those of one `mvm` call per job;
-`gather_job_input` is that per-job path's building block.
+(P, k^2) tap index that all regions share, and one batched
+`ProgrammedArray.accumulate` call computes their bitline sums, noisy or
+not, into the region's columns of one float64 accumulator for the layer.
+One ADC call then converts the whole layer, as in `reference_conv`. Jobs
+reach each region's array in stream order, so seeded noise draws match
+those of one `mvm` call per job; `gather_job_input` is that per-job path's
+building block.
 """
 
 from __future__ import annotations
@@ -57,6 +62,9 @@ from .xbar import (
 # at most k*k*c_in*_WEIGHT_MAG*INPUT_MAX; below _ACC_BOUND float64 holds it
 # exactly, in any summation order.
 _ACC_BOUND = 2**53
+# A depthwise output sums k*k products, one per tap; below _INT32_BOUND
+# int32 holds every partial sum.
+_INT32_BOUND = 2**31
 _WEIGHT_MAG = max(-WEIGHT_MIN, WEIGHT_MAX)
 
 
@@ -86,11 +94,15 @@ def reference_conv(layer: LayerDescriptor, inp: QuantTensor, weights,
 
     Weights have the canonical layout of `workload.weight_shape`, as in
     `mapper.region_weight_matrix`. Each filter tap (ky, kx) adds its strided
-    slice of the zero-padded input times that tap's weights to one float64
-    accumulator, which the ADC policy then requantizes in one call.
+    slice of the zero-padded input times that tap's weights to one
+    accumulator (int32 for depthwise, float64 otherwise), which the ADC
+    policy then requantizes in one call. The first tap writes the
+    accumulator and each later tap one reused scratch buffer.
     """
     k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
-    if k * k * in_channels(layer) * _WEIGHT_MAG * INPUT_MAX >= _ACC_BOUND:
+    depthwise = isinstance(layer, DepthwiseConv)
+    if k * k * in_channels(layer) * _WEIGHT_MAG * INPUT_MAX >= _ACC_BOUND \
+            or depthwise and k * k * _WEIGHT_MAG * INPUT_MAX >= _INT32_BOUND:
         raise ValueError("accumulator bound exceeded for this layer size")
     w = np.asarray(weights, dtype=np.int64)
     if w.shape != weight_shape(layer):
@@ -101,20 +113,24 @@ def reference_conv(layer: LayerDescriptor, inp: QuantTensor, weights,
     out_shape = output_shape(layer, inp.shape)
     oh, ow, c_out = out_shape.height, out_shape.width, out_shape.channels
     h, wdt, c_in = inp.data.shape
-    depthwise = isinstance(layer, DepthwiseConv)
-    tap_shape = (c_out,) if depthwise else (c_in, c_out)
-    w = w.reshape((k, k) + tap_shape).astype(np.float64)
+    if depthwise:
+        w = w.reshape(k, k, c_out).astype(np.int32)
+        acc_dtype, product = np.int32, np.multiply
+    else:
+        w = w.reshape(k, k, c_in, c_out).astype(np.float64)
+        acc_dtype, product = np.float64, np.matmul
     x = np.zeros((h + 2 * pad, wdt + 2 * pad, c_in), dtype=inp.data.dtype)
     x[pad:pad + h, pad:pad + wdt] = inp.data
-    acc = np.zeros((oh, ow, c_out))
+    acc = np.empty((oh, ow, c_out), dtype=acc_dtype)
+    scratch = np.empty_like(acc) if k > 1 else None
     for ky in range(k):
         for kx in range(k):
             tap = x[ky:ky + (oh - 1) * stride + 1:stride,
                     kx:kx + (ow - 1) * stride + 1:stride]
-            if depthwise:
-                acc += tap * w[ky, kx]
+            if ky == kx == 0:
+                product(tap, w[0, 0], out=acc)
             else:
-                acc += tap @ w[ky, kx]
+                acc += product(tap, w[ky, kx], out=scratch)
     return QuantTensor(out_shape, adc.requantize(acc))
 
 
@@ -153,26 +169,23 @@ def execute_job_stream(arrays: list[ProgrammedArray], stream: JobStream,
                        inp: QuantTensor, adc: AdcConfig) -> QuantTensor:
     """Run every job through the crossbar and assemble the output tensor.
 
-    Region g's jobs go to `arrays[g]` as batches; the region writes its
-    real output columns, from `g * cols` on, of every output pixel (a dense
-    layer has one region). An ADC configuration without exactly one scale,
-    or one per output channel, raises `DimensionMismatch`, as in
-    `reference_conv`.
+    Region g's jobs go to `arrays[g]` as one batch, whose bitline sums fill
+    columns `g * cols` to `(g + 1) * cols` of one float64 accumulator over
+    every output pixel (a dense layer has one region); one ADC call then
+    converts its first `c_out` columns, the layer's real outputs. An ADC
+    configuration without exactly one scale, or one per output channel,
+    raises `DimensionMismatch`, as in `reference_conv`.
     """
     out_shape = stream.out_shape
-    adc.scales(out_shape.channels)
-    out = np.zeros((out_shape.height * out_shape.width, out_shape.channels),
-                   dtype=np.int8)
+    c_out = out_shape.channels
+    adc.scales(c_out)  # a wrong scale count fails before any array runs
+    cols = arrays[0].cols
+    acc = np.empty((out_shape.height * out_shape.width, len(arrays) * cols))
     for g, x in enumerate(mapper.gather_inputs(stream, inp.data)):
-        arr = arrays[g]
-        col_base = g * arr.cols
-        real = min(arr.cols, out_shape.channels - col_base)
-        region_adc = adc.slice(col_base, col_base + arr.cols)
-        y = arr.mvm(x, region_adc)
-        out[:, col_base:col_base + real] = y[:, :real]
+        acc[:, g * cols:(g + 1) * cols] = arrays[g].accumulate(x)
+    out = adc.requantize(acc[:, :c_out])
     return QuantTensor(out_shape,
-                       out.reshape(out_shape.height, out_shape.width,
-                                   out_shape.channels))
+                       out.reshape(out_shape.height, out_shape.width, c_out))
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,9 +12,12 @@ and clamping to produce an 8-bit signed output:
 The integer accumulation is exact: it runs as a float64 matrix product, and
 every partial sum is an integer of magnitude at most rows * 255 * 8, far
 below 2**53. Noise-free calls are therefore deterministic and bit-identical
-to a direct integer reference. `mvm` takes one input vector or a batch of
-them; a batch of n behaves exactly as n successive single-vector calls,
-noise draws included.
+to a direct integer reference. `accumulate` returns those bitline sums,
+noise included, before the ADC, and `mvm` is one `AdcConfig.requantize`
+call on them; an emulator that spreads a layer over several arrays can
+collect their sums and convert the whole layer in one ADC call. Both take
+one input vector or a batch of them; a batch of n behaves exactly as n
+successive single-vector calls, noise draws included.
 
 Two optional Gaussian noise terms model device non-ideality:
 - `program_sigma`: drawn once per programmed cell at programming time
@@ -22,7 +25,7 @@ Two optional Gaussian noise terms model device non-ideality:
 - `noise_sigma`: read noise, drawn per output column per input vector.
   Column c's read-noise term sum_r mask_rc * n_rc * x_r, with iid
   n_rc ~ N(0, noise_sigma**2) per cell, has exactly the distribution
-  N(0, noise_sigma**2 * sum_r mask_rc * x_r**2), so `mvm` draws one
+  N(0, noise_sigma**2 * sum_r mask_rc * x_r**2), so `accumulate` draws one
   standard normal z per column and adds noise_sigma * sqrt(var_c) * z, in
   input-vector order.
 Noise applies to programmed cells only; unprogrammed cells read as exact 0
@@ -182,11 +185,11 @@ class ProgrammedArray:
                 0.0, self.program_sigma, size=(region.rows, region.cols))
         return self
 
-    def mvm(self, x, adc: AdcConfig) -> np.ndarray:
-        """Crossbar operations y = requantize(W^T x): int8[cols] for one
-        input vector x[rows], int8[n, cols] for a batch x[n, rows].
+    def accumulate(self, x) -> np.ndarray:
+        """Bitline sums of W^T x before the ADC: float64[cols] for one input
+        vector x[rows], float64[n, cols] for a batch x[n, rows].
 
-        A single vector is a batch of one. The accumulator is the sum of
+        A single vector is a batch of one. The sum is
         - the integer product x @ W, computed in float64 and exact because
           every partial sum is an integer of magnitude at most
           rows * 255 * 8, far below 2**53;
@@ -194,7 +197,8 @@ class ProgrammedArray:
           vector so that row i of a batch does not depend on n;
         - read noise noise_sigma * sqrt(var) * z, where var = x**2 @ mask
           is an exact sum over programmed cells (integers of at most
-          rows * 255**2) and z is one (n, cols) standard-normal draw.
+          rows * 255**2; the call squares its own float64 copy of x in
+          place) and z is one (n, cols) standard-normal draw.
         Row i of a batch thus gets the same value, and the call leaves the
         same RNG state, as the i-th of n successive single-vector calls.
         """
@@ -209,8 +213,13 @@ class ProgrammedArray:
         if self._program_noise is not None:
             acc += (self._program_noise.T @ xf[:, :, None])[:, :, 0]
         if self.noise_sigma > 0:
-            var = (xf * xf) @ self.mask.astype(np.float64)
+            var = np.square(xf, out=xf) @ self.mask.astype(np.float64)
             acc += self.noise_sigma * np.sqrt(var) \
                 * self._rng.standard_normal((len(batch), self.cols))
-        y = adc.requantize(acc)
-        return y if xv.ndim == 2 else y[0]
+        return acc if xv.ndim == 2 else acc[0]
+
+    def mvm(self, x, adc: AdcConfig) -> np.ndarray:
+        """Crossbar operations y = requantize(W^T x): int8[cols] for one
+        input vector x[rows], int8[n, cols] for a batch x[n, rows]; see
+        `accumulate` for the sums the ADC converts."""
+        return adc.requantize(self.accumulate(x))

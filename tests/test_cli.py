@@ -299,7 +299,9 @@ NON_FINITE_CASES = [
     # a tiny positive area makes a GOPS/mm2 ratio infinite
     ("simulate-sw-json", "area.cluster_mm2=1e-320"),
     ("simulate-json", "area.pcm_device_um2=1e-320"),
-    ("sweep", "area.cluster_mm2=1e-320")]
+    ("sweep", "area.cluster_mm2=1e-320"),
+    # a PCM area that underflows to 0.0 still holds devices: not "n/a"
+    ("simulate", "area.pcm_device_um2=5e-324")]
 
 
 @pytest.mark.parametrize("command,override", NON_FINITE_CASES,
@@ -312,6 +314,22 @@ def test_non_finite_energy_or_area_is_validation_error(
     assert code == EXIT_VALIDATION
     assert_one_line_error(err)
     assert "not finite" in err
+    assert out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_overflowing_throughput_is_validation_error(
+        capsys, tmp_path, monkeypatch, command):
+    # f_hz passes the t_array_ns * f_hz check, but ops * f_hz is an int
+    # too large for a float
+    monkeypatch.chdir(tmp_path)
+    argv = {"simulate": ["simulate", "--plan", "sw"],
+            "sweep": ["sweep", "--out", "sweep.csv"]}[command]
+    code, out, err = run(capsys, *argv, "--set", "cluster.f_hz=1" + "0" * 305)
+    assert code == EXIT_VALIDATION
+    assert_one_line_error(err)
+    assert "not finite" in err and "f_hz" in err
     assert out == ""
     assert not (tmp_path / "sweep.csv").exists()
 

@@ -135,3 +135,34 @@ def test_sweep_maps_each_plan_once(cal, monkeypatch):
         monkeypatch.setattr(mapper, name, counting(name))
     dse.run_sweep(SweepSpec(workload=default_bottleneck(), calibration=cal))
     assert calls == {"map_layer": 8, "stream_geometry": 8}
+
+
+def test_fold_rebuilds_no_shapes(cal, monkeypatch):
+    """A fold reads each row's shapes and MACs from the placement table:
+    no `output_shape` call runs inside `timing.fold_schedule`, for software
+    rows included."""
+    from imasim import timing, workload
+
+    inside = {"fold": False, "output_shape": 0}
+
+    def counted_shape(real):
+        def counted(*args, **kwargs):
+            inside["output_shape"] += inside["fold"]
+            return real(*args, **kwargs)
+        return counted
+
+    real_fold = timing.fold_schedule
+
+    def fold(*args, **kwargs):
+        inside["fold"] = True
+        try:
+            return real_fold(*args, **kwargs)
+        finally:
+            inside["fold"] = False
+
+    for mod in (workload, timing):
+        monkeypatch.setattr(mod, "output_shape", counted_shape(mod.output_shape))
+    monkeypatch.setattr(timing, "fold_schedule", fold)
+    rows = dse.run_sweep(SweepSpec(workload=default_bottleneck(), calibration=cal))
+    assert len(rows) == 20
+    assert inside["output_shape"] == 0

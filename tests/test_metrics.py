@@ -194,6 +194,20 @@ def test_report_rejects_non_finite_energy_or_area(cal, plan, section, changes):
         metrics.report(sched, allocs, models["area"], models["energy"])
 
 
+def test_pcm_area_underflow_is_not_no_pcm(cal):
+    """"No PCM" follows the device count: an area that underflows to 0.0
+    under allocated devices gives an infinite ratio, which is rejected."""
+    area = dataclasses.replace(cal.area, pcm_device_um2=5e-324)
+    allocs = timing.plan_allocations(default_bottleneck(), Plan.IMA8)
+    assert metrics.pcm_area_mm2(allocs, area) == 0.0
+    with pytest.raises(ValueError, match="not finite"):
+        # a one-shot iterable: report reads the allocations twice
+        metrics.report(schedule_for(cal, Plan.IMA8, 4), iter(allocs), area,
+                       cal.energy)
+    rep = metrics.report(schedule_for(cal, Plan.SW, 4), [], area, cal.energy)
+    assert rep.gops_per_mm2_pcm is None
+
+
 def test_settable_calibration_keys():
     # a new calibration knob is a deliberate edit of this list
     keys = sorted(f"{section}.{key}"

@@ -82,6 +82,21 @@ class TestReferenceConv:
         with pytest.raises(ValueError, match="accumulator bound"):
             reference_conv(layer, inp, weights, ADC1)
 
+    def test_depthwise_int32_accumulator_bound(self):
+        # depthwise taps sum in int32: the smallest kernel whose k*k products
+        # can reach 2**31 is rejected from its geometry alone, though its
+        # float64 bound holds
+        k = 1
+        while k * k * -WEIGHT_MIN * INPUT_MAX < 2**31:
+            k += 1
+        assert k * k * -WEIGHT_MIN * INPUT_MAX < 2**53
+        layer = DepthwiseConv(k=k, c=1)
+        inp = QuantTensor(TensorShape(k, k, 1),
+                          np.broadcast_to(np.uint8(0), (k, k, 1)))
+        weights = np.broadcast_to(np.int64(0), (k, k, 1))
+        with pytest.raises(ValueError, match="accumulator bound"):
+            reference_conv(layer, inp, weights, ADC1)
+
     def test_weight_shape_enforced(self):
         with pytest.raises(ValueError, match="weights of shape"):
             reference_conv(StandardConv(k=3, c_in=2, c_out=2),
@@ -181,6 +196,39 @@ def test_wrong_adc_scale_count_rejected(layer, scales):
         reference_conv(layer, inp, w, adc)
     with pytest.raises(DimensionMismatch):
         check_equivalence(layer, strategy, inp, w, adc)
+
+
+def test_emulated_layer_takes_one_adc_call(monkeypatch):
+    # the regions' bitline sums meet in one accumulator: one requantize per
+    # layer, and no per-region ADC slice
+    calls = {"requantize": 0, "slice": 0}
+
+    def counting(name):
+        real = getattr(AdcConfig, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return counted
+
+    rng = np.random.default_rng(25)
+    layer = DepthwiseConv(k=3, c=11, stride=2, pad=1)
+    inp = u8(rng.integers(0, 256, size=(7, 6, 11)))
+    w = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1, size=(3, 3, 11))
+    adc = AdcConfig(tuple(rng.uniform(0.01, 0.1, size=11)))
+    strategy = mapper.depthwise_block(4)
+    alloc = mapper.map_layer(layer, strategy)
+    assert len(alloc.regions) == 3
+    stream = mapper.job_stream(layer, inp.shape, strategy)
+    want = reference_conv(layer, inp, w, adc)
+    for name in calls:
+        monkeypatch.setattr(AdcConfig, name, counting(name))
+    for noise in ({}, {"noise_sigma": 0.5, "program_sigma": 0.3, "seed": 4}):
+        got = verify.execute_job_stream(
+            verify.program_allocation(alloc, w, **noise), stream, inp, adc)
+        if not noise:
+            assert np.array_equal(got.data, want.data)
+    assert calls == {"requantize": 2, "slice": 0}
 
 
 def test_random_suite_smoke():

@@ -222,6 +222,26 @@ def test_batched_mvm_equals_successive_calls(noise):
     assert one._rng.bit_generator.state == many._rng.bit_generator.state
 
 
+@pytest.mark.parametrize("noise", [
+    {}, {"noise_sigma": 0.5}, {"program_sigma": 0.5},
+    {"noise_sigma": 0.5, "program_sigma": 0.3}])
+def test_accumulate_then_requantize_equals_mvm(noise):
+    # the emulator's path (bitline sums, then one ADC call) against mvm, for
+    # one vector and for a batch: same outputs, same RNG state after
+    rng = np.random.default_rng(24)
+    adc = AdcConfig(tuple(rng.uniform(0.005, 0.05, size=6)))
+    for x in (rng.integers(0, 256, size=12).astype(np.uint8),
+              rng.integers(0, 256, size=(9, 12)).astype(np.float64)):
+        before = x.copy()
+        split, whole = _array(**noise, seed=5), _array(**noise, seed=5)
+        acc = split.accumulate(x)
+        assert acc.shape == x.shape[:-1] + (6,) and acc.dtype == np.float64
+        assert np.array_equal(x, before)  # the read-noise square is private
+        assert np.array_equal(adc.requantize(acc), whole.mvm(x, adc))
+        assert split._rng.bit_generator.state \
+            == whole._rng.bit_generator.state
+
+
 def test_noiseless_array_builds_no_generator():
     arr = _array(seed=9)
     arr.mvm(np.arange(12, dtype=np.uint8), ADC1)
