@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
             "note": _CAL_NOTE,
             "plan": plan.value,
             "ports": str(ports),
-            "metrics": rep.to_dict(),
+            "metrics": asdict(rep),
             "layers": [{"name": name, **asdict(p), "total": p.total}
                        for name, p in schedule.layers],
         }

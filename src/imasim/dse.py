@@ -24,7 +24,7 @@ from .calibration import Calibration
 from .timing import PLAN_ORDER, Plan, PortConfig
 from .workload import BottleneckDescriptor
 
-DEFAULT_PORTS = tuple(PortConfig(n, n) for n in (1, 2, 4, 8, 16))
+DEFAULT_PORTS = tuple(PortConfig(n, n) for n in timing.PORT_CHOICES)
 
 
 @dataclass(frozen=True, slots=True)

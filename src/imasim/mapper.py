@@ -57,8 +57,6 @@ from .workload import (
     DepthwiseConv,
     LayerDescriptor,
     NetworkDescriptor,
-    PointwiseConv,
-    StandardConv,
     TensorShape,
     in_channels,
     kernel_size,
@@ -150,11 +148,6 @@ def map_layer(layer: LayerDescriptor,
         layer=layer, strategy=strategy, regions=regions,
         weights_total=groups * rows * cols,  # k^2 * c * c_job when c_job | c
         weights_useful=params(layer))
-
-
-def map_standard(conv: StandardConv | PointwiseConv) -> CrossbarAllocation:
-    """Dense mapping of a standard or pointwise convolution: one region."""
-    return map_layer(conv, STANDARD_IM2COL)
 
 
 def map_depthwise(dw: DepthwiseConv, c_job: int) -> CrossbarAllocation:

@@ -24,7 +24,7 @@ Throughput convention: 1 MAC = 2 OPs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable
 
 from .mapper import CrossbarAllocation
@@ -93,9 +93,6 @@ class MetricsReport:
     wall_time_s: float
     energy_j: float
     macs: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def report(schedule: ScheduleResult,

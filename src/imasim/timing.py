@@ -162,16 +162,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def streamin_cycles(segments, n_load: int) -> int:
-    """Cycles to stream a job's input segments through n_load 32-bit ports."""
-    beat = PORT_WIDTH_BYTES * n_load
-    return sum(_ceil_div(s.length, beat) for s in segments if not s.zero_fill)
-
-
-def streamout_cycles(out_bytes: int, n_store: int) -> int:
-    return _ceil_div(out_bytes, PORT_WIDTH_BYTES * n_store)
-
-
 def array_op_cycles(t_array_ns: float, f_hz: int) -> int:
     """Cycles spanned by an analog operation of t_array_ns at the cluster clock."""
     return _ceil_div(int(t_array_ns * f_hz), 1_000_000_000)

@@ -78,10 +78,6 @@ class QuantTensor:
         if self.data.shape != expect:
             raise ValueError(f"data shape {self.data.shape} != {expect}")
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.data.reshape(-1)  # HWC byte order
-
 
 def quant_tensor(data: np.ndarray) -> QuantTensor:
     h, w, c = data.shape

@@ -268,12 +268,6 @@ def validate_chain(net: NetworkDescriptor) -> TensorShape:
     return shape
 
 
-def depthwise_param_share(net: NetworkDescriptor) -> float:
-    dw = sum(params(nl.layer) for nl in net.layers
-             if isinstance(nl.layer, DepthwiseConv))
-    return dw / network_params(net)
-
-
 def _make_divisible(v: float, divisor: int = 8) -> int:
     # channel rounding used when scaling by a width multiplier
     new_v = max(divisor, int(v + divisor / 2) // divisor * divisor)

@@ -28,9 +28,10 @@ Two optional Gaussian noise terms model device non-ideality:
   N(0, noise_sigma**2 * sum_r mask_rc * x_r**2), so `accumulate` draws one
   standard normal z per column and adds noise_sigma * sqrt(var_c) * z, in
   input-vector order.
-Noise applies to programmed cells only; unprogrammed cells read as exact 0
-and add no variance. The RNG is owned by the array instance and is never
-shared implicitly.
+Both sigmas must be finite and >= 0; 0 disables the term. Noise applies to
+programmed cells only; unprogrammed cells read as exact 0 and add no
+variance. The RNG is owned by the array instance and is never shared
+implicitly.
 """
 
 from __future__ import annotations
@@ -78,10 +79,11 @@ class AdcConfig:
     """Per-column ADC transfer: affine scale, round half away from zero,
     clamp to the signed 8-bit output range.
 
-    `scale` is either a single positive factor shared by all columns or a
-    sequence with one factor per column. The same policy object is used by
-    the golden-model reference so that equivalence checks exercise the
-    mapping/streaming path, not the requantization choice.
+    `scale` is either a single positive finite factor shared by all
+    columns or a sequence with one factor per column. The same policy
+    object is used by the golden-model reference so that equivalence
+    checks exercise the mapping/streaming path, not the requantization
+    choice.
     """
 
     scale: float | tuple[float, ...] = 1.0
@@ -90,8 +92,8 @@ class AdcConfig:
 
     def __post_init__(self):
         scales = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
-        if np.any(scales <= 0):
-            raise ValueError("ADC scales must be positive")
+        if not np.all((scales > 0) & np.isfinite(scales)):
+            raise ValueError("ADC scales must be positive and finite")
 
     def scales(self, cols: int) -> np.ndarray:
         s = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
@@ -144,6 +146,9 @@ class ProgrammedArray:
         self.cols = cols
         self.noise_sigma = float(noise_sigma)
         self.program_sigma = float(program_sigma)
+        if not (0 <= self.noise_sigma < np.inf
+                and 0 <= self.program_sigma < np.inf):
+            raise ValueError("noise sigmas must be finite and >= 0")
         self.weights = np.zeros((rows, cols), dtype=np.int16)
         self.mask = np.zeros((rows, cols), dtype=bool)
         self._program_noise = None  # lazily allocated float64 grid

@@ -13,7 +13,6 @@ import sys
 import types
 from pathlib import Path
 
-import imasim.dse  # noqa: F401  (the tracer wraps every imasim module it names)
 from imasim import dse, mapper
 from imasim.calibration import default_calibration
 from imasim.workload import DepthwiseConv, TensorShape, default_bottleneck
@@ -38,6 +37,10 @@ def _load_benchmark(name: str):
 
 
 def _load_tracer():
+    """benchmarks/tracer.py, after the workloads have imported every imasim
+    module the tracer wraps, as in the benchmark worker: `import imasim`
+    alone loads no submodule."""
+    _load_benchmark("workloads")
     return _load_benchmark("tracer")
 
 

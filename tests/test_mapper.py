@@ -16,18 +16,20 @@ from imasim.xbar import Region
 
 class TestDenseMapping:
     def test_standard_conv(self):
-        alloc = mapper.map_standard(StandardConv(k=3, c_in=32, c_out=64))
+        alloc = mapper.map_layer(StandardConv(k=3, c_in=32, c_out=64),
+                             mapper.STANDARD_IM2COL)
         assert alloc.regions == (Region(0, 0, 288, 64),)
         assert alloc.weights_total == alloc.weights_useful == 18_432
         assert mapper.utilization(alloc) == 1.0
         assert alloc.jobs_per_output_pixel == 1
 
     def test_pointwise(self):
-        alloc = mapper.map_standard(PointwiseConv(32, 192))
+        alloc = mapper.map_layer(PointwiseConv(32, 192), mapper.STANDARD_IM2COL)
         assert alloc.regions == (Region(0, 0, 32, 192),)
 
     def test_minimal(self):
-        alloc = mapper.map_standard(StandardConv(k=1, c_in=1, c_out=1))
+        alloc = mapper.map_layer(StandardConv(k=1, c_in=1, c_out=1),
+                             mapper.STANDARD_IM2COL)
         assert alloc.regions == (Region(0, 0, 1, 1),)
 
 

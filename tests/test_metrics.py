@@ -148,7 +148,7 @@ class TestReport:
 
     def test_report_dict_round_trip_fields(self, cal):
         rep = report_for(cal, Plan.IMA16, 2)
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert d["total_cycles"] == rep.total_cycles
         assert d["gops"] == rep.gops
 

@@ -31,19 +31,30 @@ def segs(n, length):
     return [Segment(0, length) for _ in range(n)]
 
 
+def streamin_cycles(segments, n_load: int) -> int:
+    """Oracle: cycles to stream a job's input segments through n_load
+    32-bit ports, one segment at a time."""
+    beat = timing.PORT_WIDTH_BYTES * n_load
+    return sum(-(-s.length // beat) for s in segments if not s.zero_fill)
+
+
+def streamout_cycles(out_bytes: int, n_store: int) -> int:
+    return -(-out_bytes // (timing.PORT_WIDTH_BYTES * n_store))
+
+
 class TestPhaseArithmetic:
     def test_streamin_bandwidth(self):
-        assert timing.streamin_cycles(segs(9, 32), n_load=1) == 72
-        assert timing.streamin_cycles(segs(1, 192), n_load=4) == 12
+        assert streamin_cycles(segs(9, 32), n_load=1) == 72
+        assert streamin_cycles(segs(1, 192), n_load=4) == 12
 
     def test_streamin_saturates(self):
         # a 16-byte depthwise slice fits one beat at >= 4 load ports
         for n in (4, 8, 16):
-            assert timing.streamin_cycles(segs(9, 16), n_load=n) == 9
+            assert streamin_cycles(segs(9, 16), n_load=n) == 9
 
     def test_zero_fill_costs_nothing(self):
         padded = segs(5, 32) + [Segment(0, 32, zero_fill=True)] * 4
-        assert timing.streamin_cycles(padded, n_load=1) == 40
+        assert streamin_cycles(padded, n_load=1) == 40
 
     def test_array_op_cycles(self):
         assert array_op_cycles(70, 250_000_000) == 18  # ceil(17.5)
@@ -54,9 +65,9 @@ class TestPhaseArithmetic:
         assert array_op_cycles(cal.ima.t_array_ns, cal.cluster.f_hz) == 18
 
     def test_streamout(self):
-        assert timing.streamout_cycles(64, 1) == 16
-        assert timing.streamout_cycles(64, 16) == 1
-        assert timing.streamout_cycles(0, 4) == 0
+        assert streamout_cycles(64, 1) == 16
+        assert streamout_cycles(64, 16) == 1
+        assert streamout_cycles(0, 4) == 0
 
 
 class TestPortConfig:
@@ -245,9 +256,9 @@ class TestModelKnobs:
 
 def enumerated_phases(stream, ports, ima, cluster) -> PhaseBreakdown:
     """Oracle: fold an enumerated job stream job by job."""
-    si = sum(timing.streamin_cycles(job.segments, ports.n_load)
+    si = sum(streamin_cycles(job.segments, ports.n_load)
              for job in stream.jobs)
-    so = sum(timing.streamout_cycles(job.out_length, ports.n_store)
+    so = sum(streamout_cycles(job.out_length, ports.n_store)
              for job in stream.jobs)
     n_jobs = len(stream.jobs)
     comp = n_jobs * array_op_cycles(ima.t_array_ns, cluster.f_hz)

@@ -273,7 +273,7 @@ def execute_per_job(arrays, stream, inp, adc) -> np.ndarray:
     for job in stream.jobs:
         arr = arrays[job.region_id]
         col_base = job.out_offset % shape.channels  # first output channel
-        y = arr.mvm(verify.gather_job_input(job, inp.flat),
+        y = arr.mvm(verify.gather_job_input(job, inp.data.reshape(-1)),
                     adc.slice(col_base, col_base + arr.cols))
         out[job.out_offset:job.out_offset + job.out_length] = \
             y[:job.out_length]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imasim import mapper, workload
+from imasim import mapper, verify, workload
 from imasim.workload import DepthwiseConv, StandardConv
 from imasim.xbar import (
     DEVICES_PER_WEIGHT,
@@ -42,7 +42,8 @@ def test_device_accounting():
     arr.program(Region(0, 0, 288, 64), np.zeros((288, 64), dtype=int))
     # zero weights are programmed too: 18,432 cells, two PCM devices each,
     # which is the mapper's device count for the layer
-    alloc = mapper.map_standard(StandardConv(k=3, c_in=32, c_out=64))
+    alloc = mapper.map_layer(StandardConv(k=3, c_in=32, c_out=64),
+                             mapper.STANDARD_IM2COL)
     assert alloc.devices_total == DEVICES_PER_WEIGHT * int(arr.mask.sum()) \
         == 36_864
 
@@ -188,6 +189,21 @@ def test_adc_rejects_nonpositive_scale():
         AdcConfig(0.0)
     with pytest.raises(ValueError):
         AdcConfig((1.0, -2.0))
+    # a NaN scale would read 0 and an infinite one saturate every output
+    for scale in (float("nan"), float("inf"), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            AdcConfig(scale)
+
+
+@pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["noise_sigma", "program_sigma"])
+def test_array_rejects_negative_or_nonfinite_sigma(name, sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        ProgrammedArray(4, 2, **{name: sigma})
+    alloc = mapper.map_depthwise(DepthwiseConv(k=3, c=4, pad=1), 2)
+    with pytest.raises(ValueError, match="sigma"):
+        verify.program_allocation(alloc, np.zeros((3, 3, 4), dtype=int),
+                                  **{name: sigma})
 
 
 def test_format_allocation_text():
