@@ -39,10 +39,15 @@ O(out_size).
 `verify`, where bytes are actually pushed through a crossbar; the cycle
 model never builds one. `gather_inputs` runs a stream's virtual im2col on
 an input tensor: one (P, k^2) index of input pixels, shared by every
-region, and per region one numpy gather of whole pixel rows from a
-group-major copy of the input. `JobStream.jobs` enumerates the jobs as
-explicit (offset, length) segments, on first access only: it is the test
-oracle for `stream_geometry` and for the gathered inputs.
+region, and per stack of consecutive regions one numpy gather of whole
+pixel rows from a group-major copy of the input. A stack holds as many
+regions as fit a fixed float64 budget (`_STACK_FLOATS`), and at least
+one: a small layer is one stack, and each region of a full-size layer is
+its own, so emulation never holds more than one large region's inputs.
+`region_weight_matrix` builds every region's weight block in one
+vectorized write. `JobStream.jobs` enumerates the jobs as explicit
+(offset, length) segments, on first access only: it is the test oracle
+for `stream_geometry` and for the gathered inputs.
 """
 
 from __future__ import annotations
@@ -69,6 +74,12 @@ from .workload import (
     weight_shape,
 )
 from .xbar import DEVICES_PER_WEIGHT, Region
+
+# Float64 values (256 KiB) that one stack of regions' inputs may take once
+# the crossbar converts them. Small layers run as one stack; a region
+# larger than this, such as a full-size layer's, runs alone, so its peak
+# memory is that of one region.
+_STACK_FLOATS = 2**15
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,7 +225,8 @@ def job_stream(layer: LayerDescriptor, in_shape: TensorShape,
 
 
 def gather_inputs(stream: JobStream, data: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield each region's (P, rows) input matrix, in region order.
+    """Yield the regions' inputs in stacks of consecutive regions, in
+    region order: a (g, P, rows) array per stack of g regions.
 
     Row p of region g is the concatenated segments of the region's job for
     output pixel p: the streamer's virtual im2col of `data`, the (h, w, c)
@@ -223,9 +235,9 @@ def gather_inputs(stream: JobStream, data: np.ndarray) -> Iterator[np.ndarray]:
     pixel h*w, a zero pixel one past the input. The input is copied once
     into a group-major array of shape (groups, h*w + 1, width), width being
     c_job or, for a dense layer, c, whose zero pixel and zero channel tail
-    of a partial last group supply the zero-fill bytes. Region g is then
-    one gather of whole pixel rows from its group's slab, filled just
-    before.
+    of a partial last group supply the zero-fill bytes. A stack is then one
+    gather of whole pixel rows from its groups' slabs. It holds as many
+    regions as fit `_STACK_FLOATS` float64 input values, and at least one.
     """
     layer, in_shape, out = stream.layer, stream.in_shape, stream.out_shape
     k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
@@ -240,12 +252,26 @@ def gather_inputs(stream: JobStream, data: np.ndarray) -> Iterator[np.ndarray]:
     taps = np.where(inside, iy[:, None, :, None] * w + ix[None, :, None, :],
                     h * w).reshape(out.height * out.width, k * k)
     width = stream.strategy.c_job or c
-    flat = np.reshape(data, (h * w, c))
-    packed = np.zeros((-(-c // width), h * w + 1, width), dtype=flat.dtype)
-    for g, slab in enumerate(packed):
-        part = flat[:, g * width:(g + 1) * width]
-        slab[:h * w, :part.shape[1]] = part
-        yield np.take(slab, taps, axis=0).reshape(len(taps), -1)
+    packed = _group_major(np.reshape(data, (h * w, c)), width)
+    stack = max(1, _STACK_FLOATS // (taps.size * width))
+    for g in range(0, len(packed), stack):
+        x = np.take(packed[g:g + stack], taps, axis=1)
+        yield x.reshape(len(x), len(taps), -1)
+
+
+def _group_major(flat: np.ndarray, width: int) -> np.ndarray:
+    """(groups, pixels + 1, width) copy of (pixels, c) input `flat`, group
+    g holding channels g*width on, with a zero pixel last and zero
+    channels past c. Filled in place: a channel-padded temporary copy
+    cost the emulate benchmark about 1,400 extra page faults a pass."""
+    pixels, c = flat.shape
+    full, tail = divmod(c, width)
+    packed = np.zeros((full + (tail > 0), pixels + 1, width), dtype=flat.dtype)
+    slabs = packed[:, :pixels].swapaxes(0, 1)  # (pixels, groups, width) view
+    slabs[:, :full] = flat[:, :full * width].reshape(pixels, full, width)
+    if tail:
+        slabs[:, full, :tail] = flat[:, full * width:]
+    return packed
 
 
 def _receptive_segments(in_shape: TensorShape, oy: int, ox: int,
@@ -386,14 +412,15 @@ def format_allocation(alloc: CrossbarAllocation) -> str:
 
 # --- weight matrices --------------------------------------------------------
 
-def region_weight_matrix(alloc: CrossbarAllocation, weights,
-                         region_index: int = 0) -> np.ndarray:
-    """Integer weight block for one allocated region.
+def region_weight_matrix(alloc: CrossbarAllocation, weights) -> np.ndarray:
+    """Integer weight blocks of every allocated region, stacked in region
+    order: (regions, rows, cols).
 
     `weights` has the canonical layout of `workload.weight_shape`. Rows
     follow the streamer order (receptive-field pixel major, channel minor);
     depthwise blocks put channel m of the group on column m and structural
-    zeros elsewhere.
+    zeros elsewhere, a partial tail group's missing channels included. All
+    blocks are written in one vectorized assignment.
     """
     layer = alloc.layer
     w = np.asarray(weights, dtype=np.int64)
@@ -401,16 +428,19 @@ def region_weight_matrix(alloc: CrossbarAllocation, weights,
     if w.shape != expect:
         raise ValueError(f"weights must be {expect}, got {w.shape}")
     if not isinstance(layer, DepthwiseConv):
-        return w.reshape(-1, out_channels(layer))
-    # depthwise block-diagonal group
+        return w.reshape(1, -1, out_channels(layer))
+    # depthwise block-diagonal groups: diag[g, p, m] is tap p of group g's
+    # channel m, zero past the last real channel
     c_job = alloc.strategy.c_job
-    ch_off = region_index * c_job
-    real = min(c_job, layer.c - ch_off)
     taps = layer.k * layer.k
-    block = np.zeros((taps, c_job, c_job), dtype=np.int64)
-    m = np.arange(real)
-    block[:, m, m] = w.reshape(taps, layer.c)[:, ch_off:ch_off + real]
-    return block.reshape(taps * c_job, c_job)
+    groups = len(alloc.regions)
+    flat = np.zeros((taps, groups * c_job), dtype=np.int64)
+    flat[:, :layer.c] = w.reshape(taps, layer.c)
+    diag = flat.reshape(taps, groups, c_job).transpose(1, 0, 2)
+    blocks = np.zeros((groups, taps, c_job, c_job), dtype=np.int64)
+    m = np.arange(c_job)
+    blocks[..., m, m] = diag
+    return blocks.reshape(groups, taps * c_job, c_job)
 
 
 # --- network-wide device accounting ------------------------------------------

@@ -16,15 +16,19 @@ requantization choice.
 With noise disabled the two paths must agree bit for bit on every layer
 kind, including padded borders and partial depthwise channel groups.
 
-`execute_job_stream` runs a layer region by region: `mapper.gather_inputs`
-gathers the region's (P, rows) inputs by whole input pixels, through one
-(P, k^2) tap index that all regions share, and one batched
-`ProgrammedArray.accumulate` call computes their bitline sums, noisy or
-not, into the region's columns of one float64 accumulator for the layer.
-One ADC call then converts the whole layer, as in `reference_conv`. Jobs
-reach each region's array in stream order, so seeded noise draws match
-those of one `mvm` call per job; `gather_job_input` is that per-job path's
-building block.
+`execute_job_stream` runs a layer in stacks of consecutive regions:
+`mapper.gather_inputs` gathers a stack's (g, P, rows) inputs by whole input
+pixels, through one (P, k^2) tap index that all regions share, and one
+`xbar.accumulate_stack` call computes their bitline sums, noisy or not,
+in one float64 product, written into the regions' columns of one float64
+accumulator for the layer. A stack holds as many regions as fit a fixed
+float64 budget, and at least one, so a small layer is one stack and a
+full-size region runs alone. The arrays, their seeded generators, the
+programming-noise matvecs and the read-noise draws stay per region, in
+region order. One ADC call then converts the whole layer, as in
+`reference_conv`. Jobs reach each region's array in stream order, so
+seeded noise draws match those of one `mvm` call per job;
+`gather_job_input` is that per-job path's building block.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .xbar import (
     AdcConfig,
     ProgrammedArray,
     Region,
+    accumulate_stack,
 )
 
 # Every partial sum of a reference accumulation is an integer of magnitude
@@ -137,17 +142,17 @@ def program_allocation(alloc: CrossbarAllocation, weights, *,
 
     The single logical array of the accounting model is realized as one
     physical array per region so jobs drive exactly their region's rows.
+    Every region's block comes from one `mapper.region_weight_matrix`
+    call; region `idx` is programmed, in region order, into an array whose
+    generator is seeded `seed + idx`.
     """
-    arrays = []
-    for idx, region in enumerate(alloc.regions):
-        block = mapper.region_weight_matrix(alloc, weights, idx)
-        arr = ProgrammedArray(region.rows, region.cols,
-                              noise_sigma=noise_sigma,
-                              program_sigma=program_sigma,
-                              seed=seed + idx)
-        arr.program(Region(0, 0, region.rows, region.cols), block)
-        arrays.append(arr)
-    return arrays
+    blocks = mapper.region_weight_matrix(alloc, weights)
+    rows, cols = blocks.shape[1:]  # every region has one shape
+    local = Region(0, 0, rows, cols)
+    return [ProgrammedArray(rows, cols, noise_sigma=noise_sigma,
+                            program_sigma=program_sigma,
+                            seed=seed + idx).program(local, block)
+            for idx, block in enumerate(blocks)]
 
 
 def gather_job_input(job: mapper.Job, flat: np.ndarray) -> np.ndarray:
@@ -165,21 +170,26 @@ def execute_job_stream(arrays: list[ProgrammedArray], stream: JobStream,
                        inp: QuantTensor, adc: AdcConfig) -> QuantTensor:
     """Run every job through the crossbar and assemble the output tensor.
 
-    Region g's jobs go to `arrays[g]` as one batch, whose bitline sums fill
-    columns `g * cols` to `(g + 1) * cols` of one float64 accumulator over
-    every output pixel (a dense layer has one region); one ADC call then
-    converts its first `c_out` columns, the layer's real outputs. An ADC
-    configuration without exactly one scale, or one per output channel,
-    raises `DimensionMismatch`, as in `reference_conv`.
+    The regions' inputs arrive in stacks of consecutive regions (see
+    `mapper.gather_inputs`), and each stack drives its arrays through one
+    `accumulate_stack` call. Region g's bitline sums fill columns `g * cols`
+    to `(g + 1) * cols` of one float64 accumulator over every output pixel
+    (a dense layer has one region), a stack's in one strided write; one ADC
+    call then converts its first `c_out` columns, the layer's real outputs.
+    An ADC configuration without exactly one scale, or one per output
+    channel, raises `DimensionMismatch`, as in `reference_conv`.
     """
     out_shape = stream.out_shape
     c_out = out_shape.channels
     adc.scales(c_out)  # a wrong scale count fails before any array runs
-    cols = arrays[0].cols
-    acc = np.empty((out_shape.height * out_shape.width, len(arrays) * cols))
-    for g, x in enumerate(mapper.gather_inputs(stream, inp.data)):
-        acc[:, g * cols:(g + 1) * cols] = arrays[g].accumulate(x)
-    out = adc.requantize(acc[:, :c_out])
+    pixels = out_shape.height * out_shape.width
+    acc = np.empty((pixels, len(arrays), arrays[0].cols))
+    g = 0
+    for x in mapper.gather_inputs(stream, inp.data):
+        acc[:, g:g + len(x)] = \
+            accumulate_stack(arrays[g:g + len(x)], x).swapaxes(0, 1)
+        g += len(x)
+    out = adc.requantize(acc.reshape(pixels, -1)[:, :c_out])
     return QuantTensor(out_shape,
                        out.reshape(out_shape.height, out_shape.width, c_out))
 

@@ -19,6 +19,13 @@ collect their sums and convert the whole layer in one ADC call. Both take
 one input vector or a batch of them; a batch of n behaves exactly as n
 successive single-vector calls, noise draws included.
 
+`accumulate_stack` drives a stack of g equally-shaped arrays, array j with
+its own batch, in one float64 product; `accumulate` is its one-array case.
+Only the noise terms stay per array, in stack order: the programming-noise
+matvec of every input vector and the read-noise draw from each array's own
+generator. Array j thus ends with the sums and the RNG state of one
+`accumulate` call on its batch alone.
+
 Two optional Gaussian noise terms model device non-ideality:
 - `program_sigma`: drawn once per programmed cell at programming time
   (frozen write error), region by region in row-major order;
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -174,12 +181,12 @@ class ProgrammedArray:
                 or region.row_off + region.rows > self.rows \
                 or region.col_off + region.cols > self.cols:
             raise RegionOverflow(f"{region} exceeds {self.rows}x{self.cols} array")
-        if np.any(w < WEIGHT_MIN) or np.any(w > WEIGHT_MAX):
+        if w.size and (w.min() < WEIGHT_MIN or w.max() > WEIGHT_MAX):
             bad = w[(w < WEIGHT_MIN) | (w > WEIGHT_MAX)][0]
             raise WeightOutOfRange(f"weight {bad} outside [{WEIGHT_MIN}, {WEIGHT_MAX}]")
         rs = slice(region.row_off, region.row_off + region.rows)
         cs = slice(region.col_off, region.col_off + region.cols)
-        if self.mask[rs, cs].any():
+        if np.count_nonzero(self.mask[rs, cs]):
             raise RegionOverlap(f"{region} overlaps programmed cells")
         self.weights[rs, cs] = w
         self.mask[rs, cs] = True
@@ -194,33 +201,15 @@ class ProgrammedArray:
         """Bitline sums of W^T x before the ADC: float64[cols] for one input
         vector x[rows], float64[n, cols] for a batch x[n, rows].
 
-        A single vector is a batch of one. The sum is
-        - the integer product x @ W, computed in float64 and exact because
-          every partial sum is an integer of magnitude at most
-          rows * 255 * 8, far below 2**53;
-        - the frozen programming-noise term x @ P, computed per input
-          vector so that row i of a batch does not depend on n;
-        - read noise noise_sigma * sqrt(var) * z, where var = x**2 @ mask
-          is an exact sum over programmed cells (integers of at most
-          rows * 255**2; the call squares its own float64 copy of x in
-          place) and z is one (n, cols) standard-normal draw.
-        Row i of a batch thus gets the same value, and the call leaves the
-        same RNG state, as the i-th of n successive single-vector calls.
+        A single vector is a batch of one, and a batch is a stack of one
+        array; see `accumulate_stack`. Row i of a batch gets the same value,
+        and the call leaves the same RNG state, as the i-th of n successive
+        single-vector calls.
         """
         xv = np.asarray(x)
-        batch = np.atleast_2d(xv)
-        if xv.ndim not in (1, 2) or batch.shape[1] != self.rows:
+        if xv.ndim not in (1, 2) or xv.shape[-1] != self.rows:
             raise DimensionMismatch(f"input length {xv.shape} != rows {self.rows}")
-        if xv.dtype != np.uint8 and (np.any(xv < 0) or np.any(xv > INPUT_MAX)):
-            raise ValueError("inputs must be unsigned 8-bit values")
-        xf = batch.astype(np.float64)
-        acc = xf @ self.weights.astype(np.float64)
-        if self._program_noise is not None:
-            acc += (self._program_noise.T @ xf[:, :, None])[:, :, 0]
-        if self.noise_sigma > 0:
-            var = np.square(xf, out=xf) @ self.mask.astype(np.float64)
-            acc += self.noise_sigma * np.sqrt(var) \
-                * self._rng.standard_normal((len(batch), self.cols))
+        acc = accumulate_stack([self], np.atleast_2d(xv)[None])[0]
         return acc if xv.ndim == 2 else acc[0]
 
     def mvm(self, x, adc: AdcConfig) -> np.ndarray:
@@ -228,3 +217,49 @@ class ProgrammedArray:
         input vector x[rows], int8[n, cols] for a batch x[n, rows]; see
         `accumulate` for the sums the ADC converts."""
         return adc.requantize(self.accumulate(x))
+
+
+def accumulate_stack(arrays: Sequence[ProgrammedArray], x) -> np.ndarray:
+    """Bitline sums before the ADC of g arrays of one shape: float64[g, n,
+    cols] for inputs x[g, n, rows], batch j driving `arrays[j]`.
+
+    The sum for array j is
+    - the integer product x[j] @ W_j, one stacked float64 product for all
+      g arrays (two-dimensional when g is 1, which needs no stacked
+      temporaries) and exact because every partial sum is an integer of
+      magnitude at most rows * 255 * 8, far below 2**53;
+    - the frozen programming-noise term x[j] @ P_j, computed per input
+      vector so that row i of a batch does not depend on n;
+    - read noise noise_sigma_j * sqrt(var) * z, where var = x[j]**2 @ mask_j
+      is an exact sum over programmed cells (integers of at most
+      rows * 255**2; the call squares its own float64 copy of x in place)
+      and z is one (n, cols) standard-normal draw from array j's generator.
+    The noise terms run array by array, in stack order.
+    """
+    xv = np.asarray(x)
+    if xv.ndim != 3 or xv.shape[::2] != (len(arrays), arrays[0].rows):
+        raise DimensionMismatch(f"input stack {xv.shape} != "
+                                f"({len(arrays)}, n, {arrays[0].rows})")
+    if xv.dtype != np.uint8 and (np.any(xv < 0) or np.any(xv > INPUT_MAX)):
+        raise ValueError("inputs must be unsigned 8-bit values")
+    xf = xv.astype(np.float64)
+    acc = _stacked_matmul(xf, [a.weights for a in arrays])
+    for j, a in enumerate(arrays):
+        if a._program_noise is not None:
+            acc[j] += (a._program_noise.T @ xf[j, :, :, None])[:, :, 0]
+    if any(a.noise_sigma > 0 for a in arrays):
+        var = _stacked_matmul(np.square(xf, out=xf),
+                              [a.mask for a in arrays])
+        for j, a in enumerate(arrays):
+            if a.noise_sigma > 0:
+                acc[j] += a.noise_sigma * np.sqrt(var[j]) \
+                    * a._rng.standard_normal(acc.shape[1:])
+    return acc
+
+
+def _stacked_matmul(xf: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+    """xf[j] @ mats[j] for every j, in float64; the matrices must share one
+    shape."""
+    if len(mats) == 1:
+        return (xf[0] @ mats[0].astype(np.float64))[None]
+    return xf @ np.array(mats, dtype=np.float64)

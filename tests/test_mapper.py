@@ -143,20 +143,33 @@ class TestJobStream:
         assert stream.jobs is stream.jobs
         assert len(stream.jobs) == 2 * 36
 
-    def test_gather_index_rows_are_job_segments(self):
+    def test_gather_index_rows_are_job_segments(self, monkeypatch):
         # row p of region g's gathered input is the concatenated segments of
         # job g * P + p; input byte i holds i + 1, so a fetched segment reads
-        # offset+1 ... offset+length and a zero-fill segment reads zeros
+        # offset+1 ... offset+length and a zero-fill segment reads zeros;
+        # regions arrive in (g, P, rows) stacks of consecutive regions, one
+        # region a stack, stacks that split a layer, or the shipped budget
         rng = np.random.default_rng(31)
-        for _ in range(150):
+        budgets = (1, 200, mapper._STACK_FLOATS)
+        split = 0
+        for n in range(150):
+            budget = budgets[n % 3]
+            monkeypatch.setattr(mapper, "_STACK_FLOATS", budget)
             layer, strategy, inp, _, _ = verify.random_case(rng)
             shape = inp.shape
             stream = mapper.job_stream(layer, shape, strategy)
             data = np.arange(1, shape.size_bytes + 1, dtype=np.int64).reshape(
                 shape.height, shape.width, shape.channels)
-            regions = list(mapper.gather_inputs(stream, data))
+            alloc = mapper.map_layer(layer, strategy)
+            stacks = list(mapper.gather_inputs(stream, data))
             pixels = stream.out_shape.height * stream.out_shape.width
-            assert len(regions) == len(mapper.map_layer(layer, strategy).regions)
+            rows = alloc.regions[0].rows
+            fit = max(1, budget // (pixels * rows))
+            assert [len(x) for x in stacks[:-1]] == [fit] * (len(stacks) - 1)
+            assert all(x.shape[1:] == (pixels, rows) for x in stacks)
+            regions = [region for x in stacks for region in x]
+            assert len(regions) == len(alloc.regions)
+            split += 1 < len(stacks) and any(len(x) > 1 for x in stacks)
             assert len(stream.jobs) == pixels * len(regions)
             for i, job in enumerate(stream.jobs):
                 g, p = divmod(i, pixels)
@@ -166,6 +179,7 @@ class TestJobStream:
                     else np.arange(s.offset + 1, s.offset + s.length + 1)
                     for s in job.segments])
                 assert np.array_equal(regions[g][p], expect), (layer, i)
+        assert split > 0  # some stacks of several regions split a layer
 
     def test_gather_rejects_a_misshaped_input(self):
         stream = mapper.job_stream(DepthwiseConv(k=3, c=4, pad=1),
@@ -184,8 +198,8 @@ class TestJobStream:
 
 
 def region_weight_matrix_loop(alloc, weights, region_index=0) -> np.ndarray:
-    """`mapper.region_weight_matrix` with the depthwise block filled one
-    (tap, channel) cell at a time: its oracle."""
+    """Region `region_index`'s block of `mapper.region_weight_matrix`, the
+    depthwise block filled one (tap, channel) cell at a time: its oracle."""
     layer = alloc.layer
     w = np.asarray(weights, dtype=np.int64)
     if not isinstance(layer, DepthwiseConv):
@@ -207,7 +221,7 @@ class TestWeightMatrices:
         layer = DepthwiseConv(k=3, c=8)
         alloc = mapper.map_layer(layer, depthwise_block(4))
         w = np.arange(9 * 8).reshape(3, 3, 8) % 8 - 4
-        block = mapper.region_weight_matrix(alloc, w, region_index=1)
+        block = mapper.region_weight_matrix(alloc, w)[1]
         assert block.shape == (36, 4)
         for p in range(9):
             for m in range(4):
@@ -219,7 +233,7 @@ class TestWeightMatrices:
         layer = StandardConv(k=2, c_in=3, c_out=2)
         alloc = mapper.map_layer(layer, mapper.STANDARD_IM2COL)
         w = np.arange(2 * 2 * 3 * 2).reshape(2, 2, 3, 2) % 5 - 2
-        m = mapper.region_weight_matrix(alloc, w)
+        m = mapper.region_weight_matrix(alloc, w)[0]
         assert m.shape == (12, 2)
         # row index = (ky*k + kx) * c_in + ci
         assert m[0 * 3 + 1, 0] == w[0, 0, 1, 0]
@@ -229,7 +243,7 @@ class TestWeightMatrices:
         layer = PointwiseConv(c_in=3, c_out=5)
         alloc = mapper.map_layer(layer, mapper.STANDARD_IM2COL)
         w = np.arange(15).reshape(3, 5) % 16 - 8
-        m = mapper.region_weight_matrix(alloc, w)
+        m = mapper.region_weight_matrix(alloc, w)[0]
         assert m.shape == (3, 5)
         assert np.array_equal(m, w)
 
@@ -239,8 +253,9 @@ class TestWeightMatrices:
         for _ in range(500):
             layer, strategy, _, weights, _ = verify.random_case(rng)
             alloc = mapper.map_layer(layer, strategy)
-            for g in range(len(alloc.regions)):
-                got = mapper.region_weight_matrix(alloc, weights, g)
+            blocks = mapper.region_weight_matrix(alloc, weights)
+            assert len(blocks) == len(alloc.regions)
+            for g, got in enumerate(blocks):
                 want = region_weight_matrix_loop(alloc, weights, g)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (layer, strategy, g)

@@ -25,6 +25,7 @@ from imasim.xbar import (
     WEIGHT_MIN,
     AdcConfig,
     DimensionMismatch,
+    ProgrammedArray,
 )
 
 ADC1 = AdcConfig(1.0)
@@ -318,6 +319,118 @@ def test_noisy_batched_emulation_draws_noise():
     (noisy, _), (oracle, _) = _emulate_both(case, noise_sigma=0.5, seed=3)
     assert np.array_equal(noisy, oracle)
     assert not np.array_equal(noisy, clean)
+
+
+# --- stacked regions against the per-group path ---------------------------------
+
+def execute_per_group(arrays, stream, region_inputs, adc) -> np.ndarray:
+    """The obvious emulation: per region, its gathered (P, rows) input and
+    one plain sum of products, programming noise and read noise, drawn
+    from the region's own generator; one ADC call for the layer."""
+    shape = stream.out_shape
+    cols = arrays[0].cols
+    acc = np.empty((shape.height * shape.width, len(arrays) * cols))
+    for g, (arr, x) in enumerate(zip(arrays, region_inputs)):
+        sums = x @ arr.weights.astype(np.float64)
+        if arr._program_noise is not None:
+            sums += (arr._program_noise.T @ x[:, :, None])[:, :, 0]
+        if arr.noise_sigma > 0:
+            var = np.square(x) @ arr.mask.astype(np.float64)
+            sums += arr.noise_sigma * np.sqrt(var) \
+                * arr._rng.standard_normal(sums.shape)
+        acc[:, g * cols:(g + 1) * cols] = sums
+    out = adc.requantize(acc[:, :shape.channels])
+    return out.reshape(shape.height, shape.width, shape.channels)
+
+
+def _job_inputs(stream, inp) -> list[np.ndarray]:
+    """Each region's float64 (P, rows) input, one `gather_job_input` a job."""
+    pixels = stream.out_shape.height * stream.out_shape.width
+    flat = inp.data.reshape(-1)
+    x = np.array([verify.gather_job_input(job, flat) for job in stream.jobs],
+                 dtype=np.float64)
+    return list(x.reshape(-1, pixels, x.shape[1]))
+
+
+def random_multigroup_depthwise(rng: np.random.Generator):
+    """A random depthwise case with 2 to c channel groups."""
+    k = int(rng.integers(2, 4))
+    c = int(rng.integers(2, 13))
+    layer = DepthwiseConv(k=k, c=c, stride=int(rng.integers(1, 3)),
+                          pad=int(rng.integers(0, 2)))
+    strategy = mapper.depthwise_block(int(rng.integers(1, c)))
+    inp = u8(rng.integers(0, 256, size=(int(rng.integers(k, k + 5)),
+                                        int(rng.integers(k, k + 5)), c)))
+    w = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1, size=(k, k, c))
+    adc = AdcConfig(tuple(rng.choice([0.5, 0.125, 0.03, 0.011], size=c)))
+    return layer, strategy, inp, w, adc
+
+
+def test_stacked_emulation_matches_per_group_path(monkeypatch):
+    # stacks of consecutive regions give every region the output and the
+    # final generator state of driving it alone, whether a stack holds one
+    # region, splits the layer or holds all of it
+    rng = np.random.default_rng(33)
+    split = whole = 0
+    for i in range(300):
+        case = random_multigroup_depthwise(rng)
+        layer, strategy, inp, w, adc = case
+        alloc = mapper.map_layer(layer, strategy)
+        stream = mapper.job_stream(layer, inp.shape, strategy)
+        region_inputs = _job_inputs(stream, inp)
+        groups, (pixels, rows) = len(alloc.regions), region_inputs[0].shape
+        for budget in (300, 2**20):
+            monkeypatch.setattr(mapper, "_STACK_FLOATS", budget)
+            fit = max(1, budget // (pixels * rows))
+            split += 1 < fit < groups
+            whole += fit >= groups
+            for noise in ({}, {"noise_sigma": 0.5, "program_sigma": 0.3,
+                               "seed": i},
+                          {"noise_sigma": 0.7, "seed": i},
+                          {"program_sigma": 0.4, "seed": i}):
+                runs = []
+                for execute in (
+                        lambda a: verify.execute_job_stream(a, stream, inp,
+                                                            adc).data,
+                        lambda a: execute_per_group(a, stream, region_inputs,
+                                                    adc)):
+                    arrays = verify.program_allocation(alloc, w, **noise)
+                    runs.append((execute(arrays), [
+                        a._rng.bit_generator.state for a in arrays]))
+                (stacked, states_s), (per_group, states_g) = runs
+                assert np.array_equal(stacked, per_group), (i, case[0], noise)
+                assert states_s == states_g, (i, case[0], noise)
+    assert split > 0 and whole > 0
+
+
+def test_small_depthwise_layer_is_one_stacked_product(monkeypatch):
+    # a tiny 12-group layer is gathered as one stack and driven through one
+    # stacked call: no per-region loop around the crossbar
+    layer = DepthwiseConv(k=3, c=12, pad=1)
+    strategy = mapper.depthwise_block(1)
+    rng = np.random.default_rng(34)
+    inp = u8(rng.integers(0, 256, size=(5, 5, 12)))
+    w = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1, size=(3, 3, 12))
+    adc = AdcConfig(0.03)
+    stream = mapper.job_stream(layer, inp.shape, strategy)
+    assert [x.shape for x in mapper.gather_inputs(stream, inp.data)] == \
+        [(12, 25, 9)]
+    calls = []
+    real = verify.accumulate_stack
+
+    def counted(arrays, x):
+        calls.append(len(arrays))
+        return real(arrays, x)
+
+    def per_array(*args):
+        raise AssertionError("a region was driven on its own")
+
+    monkeypatch.setattr(verify, "accumulate_stack", counted)
+    monkeypatch.setattr(ProgrammedArray, "accumulate", per_array)
+    arrays = verify.program_allocation(mapper.map_layer(layer, strategy), w)
+    got = verify.execute_job_stream(arrays, stream, inp, adc)
+    assert calls == [12]
+    assert np.array_equal(got.data, reference_conv(layer, inp, w, adc).data)
 
 
 def _full_scale_adc(layer, rng) -> AdcConfig:

@@ -17,6 +17,7 @@ from imasim.xbar import (
     WEIGHT_MAX,
     WEIGHT_MIN,
     WeightOutOfRange,
+    accumulate_stack,
 )
 
 ADC1 = AdcConfig(1.0)
@@ -296,6 +297,12 @@ def test_batched_mvm_keeps_input_checks():
         bad[2, 7] = value
         with pytest.raises(ValueError, match="unsigned 8-bit"):
             arr.mvm(bad, ADC1)
+        with pytest.raises(ValueError, match="unsigned 8-bit"):
+            accumulate_stack([arr, _array()], np.stack([bad, bad * 0]))
+    # one batch per stacked array, of the arrays' row count
+    for shape in ((3, 4, 12), (2, 4, 11), (2, 12)):
+        with pytest.raises(DimensionMismatch):
+            accumulate_stack([arr, _array()], np.zeros(shape, np.uint8))
 
 
 def test_adc_clamp_bounds_are_constants():
