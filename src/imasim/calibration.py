@@ -28,7 +28,6 @@ class Calibration:
     ima: ImaTiming
     area: AreaModel
     energy: EnergyModel
-    note: str = ""
 
     def __post_init__(self):
         try:
@@ -74,9 +73,8 @@ def calibration_from_dict(d: dict) -> Calibration:
     unknown = set(d) - {"schema_version", "note", *SECTIONS}
     if unknown:
         raise ValueError(f"unknown calibration keys: {sorted(unknown)}")
-    note = d.get("note", "")
-    if not isinstance(note, str):
-        raise ValueError(f"calibration note must be a string, got {note!r}")
+    if not isinstance(d.get("note", ""), str):  # a label; the model reads none
+        raise ValueError(f"calibration note must be a string, got {d['note']!r}")
     base = shipped()
     parts = {}
     for section, cls in SECTIONS.items():
@@ -92,7 +90,7 @@ def calibration_from_dict(d: dict) -> Calibration:
             if not ok(value):
                 raise ValueError(f"{section}.{name} must be {what}, got {value!r}")
         parts[section] = cls(**{**base[section], **given})
-    return Calibration(note=note, **parts)
+    return Calibration(**parts)
 
 
 def default_calibration() -> Calibration:

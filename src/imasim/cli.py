@@ -128,7 +128,7 @@ def cmd_simulate(args) -> int:
     rows = timing.placements(b, plan)
     allocations = timing.table_allocations(rows)
     try:
-        schedule = timing.fold_schedule(rows, plan, ports, cal.ima, cal.cluster)
+        schedule = timing.fold_schedule(rows, ports, cal.ima, cal.cluster)
         rep = metrics.report(schedule, allocations, cal.area, cal.energy)
     except ValueError as e:
         raise ValidationError(f"bad calibration: {e}") from None

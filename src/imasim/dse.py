@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 from . import metrics, timing
 from .calibration import Calibration
-from .timing import PLAN_ORDER, Plan, PortConfig
+from .timing import Plan, PortConfig
 from .workload import BottleneckDescriptor
 
 DEFAULT_PORTS = tuple(PortConfig(n, n) for n in timing.PORT_CHOICES)
@@ -56,7 +56,7 @@ COLUMNS = tuple(f.name for f in fields(SweepRow))
 def evaluate_point(rows: tuple[timing.Placement, ...], plan: Plan,
                    ports: PortConfig, cal: Calibration) -> SweepRow:
     """One sweep point: the fold of a plan's placement table at `ports`."""
-    schedule = timing.fold_schedule(rows, plan, ports, cal.ima, cal.cluster)
+    schedule = timing.fold_schedule(rows, ports, cal.ima, cal.cluster)
     rep = metrics.report(schedule, timing.table_allocations(rows), cal.area,
                          cal.energy)
     t = schedule.totals
@@ -71,12 +71,12 @@ def evaluate_point(rows: tuple[timing.Placement, ...], plan: Plan,
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate PLAN_ORDER x DEFAULT_PORTS; row order is plan-major. Each
-    plan's placement table is built once and folded per port config."""
-    tables = {plan: timing.placements(spec.workload, plan)
-              for plan in PLAN_ORDER}
+    """Evaluate Plan x DEFAULT_PORTS, plan-major with plans in definition
+    order. Each plan's placement table is built once and folded per port
+    config."""
+    tables = {plan: timing.placements(spec.workload, plan) for plan in Plan}
     return [evaluate_point(tables[plan], plan, ports, spec.calibration)
-            for plan in PLAN_ORDER
+            for plan in Plan
             for ports in DEFAULT_PORTS]
 
 
@@ -89,7 +89,7 @@ def best_by(rows: list[SweepRow], metric: str) -> SweepRow:
         raise ValueError("empty sweep table")
     if metric not in COLUMNS:
         raise ValueError(f"unknown metric {metric!r}")
-    plan_rank = {p.value: i for i, p in enumerate(PLAN_ORDER)}
+    plan_rank = {p.value: i for i, p in enumerate(Plan)}
     candidates = [r for r in rows if getattr(r, metric) is not None]
     if not candidates:
         raise ValueError(f"metric {metric!r} undefined on every row")

@@ -11,14 +11,16 @@ columns; every output pixel is one job and utilization is 1.
 A depthwise layer only connects channel m to output channel m, so it maps
 as a block-diagonal pattern. The channels are split into groups of `c_job`
 channels per job; each group occupies a (k*k*c_job) x c_job region whose
-off-diagonal weights are structural zeros. The crossbar cell count is
+off-diagonal weights are structural zeros. A non-divisible tail group is
+padded up to c_job columns (rows likewise), which keeps per-job timing
+uniform; a dense layer is one group of all its channels. An allocation is
+its group geometry, groups x rows x cols with region g at (g*rows, g*cols),
+and every count derives from it. The crossbar cell count is
 
-    weights_total = k^2 * c * c_job          (c divisible by c_job)
+    weights_total = groups * rows * cols = k^2 * c * c_job   (c_job | c)
 
 so utilization is exactly 1/c_job: throughput per job and array area trade
-off directly. A non-divisible tail group is padded up to c_job columns
-(rows likewise), which keeps per-job timing uniform. `map_layer` and the
-streams treat a dense layer as one group of all its channels.
+off directly.
 
 The streamer performs a virtual im2col over the flat HWC activation buffer:
 per job it fetches one contiguous slice per in-bounds receptive-field tap.
@@ -68,7 +70,6 @@ from .workload import (
     layer_pad,
     layer_stride,
     out_channels,
-    network_params,
     output_shape,
     params,
     weight_shape,
@@ -97,16 +98,12 @@ class MappingStrategy:
 STANDARD_IM2COL = MappingStrategy()  # dense: standard and pointwise layers
 
 
-def depthwise_block(c_job: int) -> MappingStrategy:
-    return MappingStrategy(c_job)
-
-
 def default_strategy(layer: LayerDescriptor,
                      dw_c_job: int | None = None) -> MappingStrategy:
     """Natural strategy per layer kind; depthwise needs a c_job choice."""
     if isinstance(layer, DepthwiseConv):
         c_job = layer.c if dw_c_job is None else min(dw_c_job, layer.c)
-        return depthwise_block(c_job)
+        return MappingStrategy(c_job)
     return STANDARD_IM2COL
 
 
@@ -122,15 +119,26 @@ def _check_strategy(layer: LayerDescriptor, strategy: MappingStrategy) -> None:
 
 @dataclass(frozen=True, slots=True)
 class CrossbarAllocation:
+    """groups regions of rows x cols cells; region g at (g*rows, g*cols)."""
+
     layer: LayerDescriptor
     strategy: MappingStrategy
-    regions: tuple[Region, ...]  # one per depthwise channel group; dense: one
-    weights_total: int   # crossbar cells claimed, incl. structural zeros
-    weights_useful: int  # cells holding real parameters
+    groups: int  # channel groups: the regions, and the jobs per output pixel
+    rows: int
+    cols: int
 
     @property
-    def jobs_per_output_pixel(self) -> int:
-        return len(self.regions)
+    def regions(self) -> tuple[Region, ...]:
+        return tuple(Region(g * self.rows, g * self.cols, self.rows, self.cols)
+                     for g in range(self.groups))
+
+    @property
+    def weights_total(self) -> int:  # cells claimed, incl. structural zeros
+        return self.groups * self.rows * self.cols
+
+    @property
+    def weights_useful(self) -> int:  # cells holding real parameters
+        return params(self.layer)
 
     @property
     def devices_total(self) -> int:
@@ -150,21 +158,15 @@ def map_layer(layer: LayerDescriptor,
     _check_strategy(layer, strategy)
     c_in = in_channels(layer)
     width = strategy.c_job or c_in
-    groups = -(-c_in // width)
-    rows = kernel_size(layer) ** 2 * width
-    cols = strategy.c_job or out_channels(layer)
-    regions = tuple(Region(g * rows, g * cols, rows, cols)
-                    for g in range(groups))
-    return CrossbarAllocation(
-        layer=layer, strategy=strategy, regions=regions,
-        weights_total=groups * rows * cols,  # k^2 * c * c_job when c_job | c
-        weights_useful=params(layer))
+    return CrossbarAllocation(layer, strategy, groups=-(-c_in // width),
+                              rows=kernel_size(layer) ** 2 * width,
+                              cols=strategy.c_job or out_channels(layer))
 
 
 def map_depthwise(dw: DepthwiseConv, c_job: int) -> CrossbarAllocation:
     """Block-diagonal mapping of a depthwise convolution: c_job channels
     a region."""
-    return map_layer(dw, depthwise_block(c_job))
+    return map_layer(dw, MappingStrategy(c_job))
 
 
 def utilization(alloc: CrossbarAllocation) -> float:
@@ -406,7 +408,7 @@ def format_allocation(alloc: CrossbarAllocation) -> str:
     lines.append(f"cells: {alloc.weights_total} ({alloc.weights_useful} useful, "
                  f"utilization {utilization(alloc):.4f}), "
                  f"devices: {alloc.devices_total}, "
-                 f"jobs/pixel: {alloc.jobs_per_output_pixel}")
+                 f"jobs/pixel: {alloc.groups}")
     return "\n".join(lines)
 
 
@@ -433,7 +435,7 @@ def region_weight_matrix(alloc: CrossbarAllocation, weights) -> np.ndarray:
     # channel m, zero past the last real channel
     c_job = alloc.strategy.c_job
     taps = layer.k * layer.k
-    groups = len(alloc.regions)
+    groups = alloc.groups
     flat = np.zeros((taps, groups * c_job), dtype=np.int64)
     flat[:, :layer.c] = w.reshape(taps, layer.c)
     diag = flat.reshape(taps, groups, c_job).transpose(1, 0, 2)
@@ -448,9 +450,11 @@ def region_weight_matrix(alloc: CrossbarAllocation, weights) -> np.ndarray:
 @dataclass(frozen=True, slots=True)
 class DeviceCountReport:
     devices_total: int
-    devices_useful: int
-    params_total: int
-    ratio: float  # devices_total / (2 * params_total)
+    devices_useful: int  # 2 devices per parameter, so 2 * sum(params)
+
+    @property
+    def ratio(self) -> float:  # devices_total / (2 * sum(params))
+        return self.devices_total / self.devices_useful
 
 
 StrategyPolicy = Callable[[LayerDescriptor], MappingStrategy]
@@ -474,6 +478,4 @@ def network_device_count(net: NetworkDescriptor,
         alloc = map_layer(nl.layer, policy(nl.layer))
         devices_total += alloc.devices_total
         devices_useful += alloc.devices_useful
-    params_total = network_params(net)
-    ratio = devices_total / (DEVICES_PER_WEIGHT * params_total)
-    return DeviceCountReport(devices_total, devices_useful, params_total, ratio)
+    return DeviceCountReport(devices_total, devices_useful)

@@ -155,9 +155,6 @@ class Plan(Enum):
     HYBRID = "hybrid"   # pointwise on the accelerator, depthwise on the cores
 
 
-PLAN_ORDER = (Plan.SW, Plan.IMA8, Plan.IMA16, Plan.HYBRID)
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -226,7 +223,6 @@ def residual_add_cycles(shape: TensorShape, cluster: ClusterConfig) -> int:
 
 @dataclass(frozen=True, slots=True)
 class ScheduleResult:
-    plan: Plan
     ports: PortConfig
     layers: tuple[tuple[str, PhaseBreakdown], ...]
     totals: PhaseBreakdown
@@ -307,7 +303,7 @@ def plan_allocations(b: BottleneckDescriptor, plan: Plan) -> list[mapper.Crossba
     return table_allocations(placements(b, plan))
 
 
-def fold_schedule(rows: tuple[Placement, ...], plan: Plan, ports: PortConfig,
+def fold_schedule(rows: tuple[Placement, ...], ports: PortConfig,
                   ima: ImaTiming, cluster: ClusterConfig) -> ScheduleResult:
     """Sequential execution of a placement table at one port config: no
     cross-layer overlap, and a residual add runs on the cores after its row."""
@@ -322,7 +318,7 @@ def fold_schedule(rows: tuple[Placement, ...], plan: Plan, ports: PortConfig,
             entries.append(("residual", PhaseBreakdown(
                 sw=residual_add_cycles(row.out_shape, cluster))))
     geos = [row.geometry for row in rows if row.geometry is not None]
-    return ScheduleResult(plan=plan, ports=ports, layers=tuple(entries),
+    return ScheduleResult(ports=ports, layers=tuple(entries),
                           totals=sum((p for _, p in entries), PhaseBreakdown()),
                           macs=sum(row.macs for row in rows),
                           bytes_streamed_in=sum(g.bytes_in for g in geos),
@@ -333,4 +329,4 @@ def fold_schedule(rows: tuple[Placement, ...], plan: Plan, ports: PortConfig,
 def bottleneck_schedule(b: BottleneckDescriptor, plan: Plan, ports: PortConfig,
                         ima: ImaTiming, cluster: ClusterConfig) -> ScheduleResult:
     """Sequential execution of a bottleneck under a plan: its table's fold."""
-    return fold_schedule(placements(b, plan), plan, ports, ima, cluster)
+    return fold_schedule(placements(b, plan), ports, ima, cluster)

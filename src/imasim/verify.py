@@ -257,7 +257,7 @@ def random_case(rng: np.random.Generator):
         c = int(rng.integers(1, 13))
         pad = int(rng.integers(0, 2))
         layer = DepthwiseConv(k=k, c=c, stride=int(rng.integers(1, 3)), pad=pad)
-        strategy = mapper.depthwise_block(int(rng.integers(1, c + 1)))
+        strategy = mapper.MappingStrategy(int(rng.integers(1, c + 1)))
     h = int(rng.integers(k, k + 5))
     w = int(rng.integers(k, k + 5))
     c_in = in_channels(layer)

@@ -252,10 +252,6 @@ class NetworkDescriptor:
         return NetworkDescriptor(self.name + "-bottlenecks", self.input_shape, kept)
 
 
-def network_params(net: NetworkDescriptor) -> int:
-    return sum(params(nl.layer) for nl in net.layers)
-
-
 def validate_chain(net: NetworkDescriptor) -> TensorShape:
     """Fold output_shape over the network; raises, naming the first layer
     that does not chain, if shapes do not chain."""
@@ -293,8 +289,8 @@ def mobilenet_v2_preset(width_multiplier: float = 1.0) -> NetworkDescriptor:
 
     Includes the 3x3 stem convolution and the final 1x1 head convolution
     (320 -> 1280); the average pool and classifier are not convolutions and
-    are excluded. Channel counts are rounded to multiples of 8 when a
-    non-unit width multiplier is applied.
+    are excluded. Scaled channel counts are rounded to multiples of 8, which
+    leaves the table's own (width multiplier 1.0) unchanged.
     """
     # the largest scaled channel count, the head's 1280, must stay finite
     if not (width_multiplier > 0 and math.isfinite(1280 * width_multiplier)):
@@ -302,8 +298,6 @@ def mobilenet_v2_preset(width_multiplier: float = 1.0) -> NetworkDescriptor:
                          f"got {width_multiplier}")
 
     def scale(c: int) -> int:
-        if width_multiplier == 1.0:
-            return c
         return _make_divisible(c * width_multiplier)
 
     image = TensorShape(224, 224, 3)

@@ -58,7 +58,7 @@ def test_traced_names_exist():
         # the wrapped call runs the counting hook, which reads the jobs
         stream = mapper.job_stream(DepthwiseConv(k=3, c=5, pad=1),
                                    TensorShape(4, 4, 5),
-                                   mapper.depthwise_block(2))
+                                   mapper.MappingStrategy(2))
         counts = tracer.counts[tracer_mod.SETUP_PASS]
         assert counts["mapper.jobs"] == len(stream.jobs) == 3 * 16
         assert counts["mapper.segments"] == 3 * 16 * 9 + 16 * 9

@@ -29,14 +29,14 @@ def test_file_with_one_key_overrides_only_that_key(cal, tmp_path, section, key):
                                 section: {key: changed}}))
     loaded = _load_calibration(str(path))
     expected = dataclasses.replace(
-        cal, note="", **{section: dataclasses.replace(getattr(cal, section),
+        cal, **{section: dataclasses.replace(getattr(cal, section),
                                                       **{key: changed})})
     assert loaded == expected
 
 
 def test_file_with_only_schema_version_is_shipped_calibration(cal):
     loaded = calibration_from_dict({"schema_version": calibration.SCHEMA_VERSION})
-    assert loaded == dataclasses.replace(cal, note="")
+    assert loaded == cal
 
 
 def test_unknown_top_level_key_is_rejected():

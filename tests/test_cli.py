@@ -23,6 +23,33 @@ SIMULATE_TEXT_SHA256 = {
     "ima16": "14afcaeb28f8aa21f578d6a95bfffc1ded7e63af8ce951f37932326f6e616f21",
     "hybrid": "5216711ed225cdcb5578843c752afb51bccb7d788a9a4925a6d41ac4d074a4d2",
 }
+# sha256 of `devices --width-multiplier <w> --cjob <c>` stdout
+DEVICES_SHA256 = {
+    ("1.0", "full"):
+        "56f12c81fc44b5cdea777a43b5cbbabf0bb704a6a9ece3bc9e54af41f3015d2e",
+    ("1.0", "8"):
+        "dececdc1cb5a540f80a5825cf8241799450b4f4de0579297b7ed3112503e4dd2",
+    ("1.0", "16"):
+        "e1ce4b8f1d7f6751300de50ca34ecaaef0c3f22a69700db3a24f6a1b6a6f3730",
+    ("1.0", "1"):
+        "afb96c4fd307d248ff2c8c1ea991a0ff78118fb24796cd8f9f830e8a04ee4843",
+    ("0.35", "full"):
+        "879c73ba4f591036bb7634236161dacffc58f358ffdac59277a1dc4b27e0c41b",
+    ("0.35", "8"):
+        "e237b35f5dac7ae1f1cdf392689df129dc32af9e914c02535d56d4ee04a23f7a",
+    ("0.35", "16"):
+        "a0cba4fe03353feafca6263ac067cc102efcbf841081b920864c3fc68ec4def9",
+    ("0.35", "1"):
+        "bc2880419acf4a1fdfa5ed4c0049bea1c86b2f9bdab9963a8676e5a343c9e39f",
+    ("1.4", "full"):
+        "26cb572f9d671dd85fcf065f741d553b0d4ee83f327a310a56ff8f4b0a26e5de",
+    ("1.4", "8"):
+        "380ae6b7456e01624ddfee27d0ef79ba9030a2d76359b428d672667980f23c96",
+    ("1.4", "16"):
+        "b8d8cc44d19def8425e2f028e803166ac8deea6c394bf2dc2a1bb79218337f10",
+    ("1.4", "1"):
+        "579fc21417bc6b6abbf80cd033a93bc56a506ea21b324879fa7cc4d549a65144",
+}
 
 
 def run(capsys, *argv):
@@ -102,6 +129,16 @@ def test_devices_reports_both_scopes(capsys):
     code, out, _ = run(capsys, "devices", "--cjob", "8")
     assert code == EXIT_OK
     assert "c_job = 8" in out
+
+
+@pytest.mark.parametrize("width,cjob", list(DEVICES_SHA256),
+                         ids=[f"{w}-{c}" for w, c in DEVICES_SHA256])
+def test_devices_report_is_byte_identical(capsys, width, cjob):
+    code, out, _ = run(capsys, "devices", "--width-multiplier", width,
+                       "--cjob", cjob)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        DEVICES_SHA256[width, cjob]
 
 
 def test_devices_bad_cjob(capsys):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from imasim import mapper, verify, workload
-from imasim.mapper import depthwise_block
+from imasim.mapper import MappingStrategy
 from imasim.workload import (
     DepthwiseConv,
     NamedLayer,
@@ -21,7 +23,7 @@ class TestDenseMapping:
         assert alloc.regions == (Region(0, 0, 288, 64),)
         assert alloc.weights_total == alloc.weights_useful == 18_432
         assert mapper.utilization(alloc) == 1.0
-        assert alloc.jobs_per_output_pixel == 1
+        assert alloc.groups == 1
 
     def test_pointwise(self):
         alloc = mapper.map_layer(PointwiseConv(32, 192), mapper.STANDARD_IM2COL)
@@ -39,7 +41,7 @@ class TestDepthwiseMapping:
         assert alloc.weights_total == 13_824  # 9 * 192 * 8
         assert alloc.weights_useful == 1_728
         assert mapper.utilization(alloc) == 1 / 8
-        assert alloc.jobs_per_output_pixel == 24
+        assert alloc.groups == 24
 
     def test_cjob1_no_padding(self):
         alloc = mapper.map_depthwise(DepthwiseConv(k=3, c=192, pad=1), 1)
@@ -94,7 +96,7 @@ class TestJobStream:
 
     def test_depthwise_group_segments(self):
         stream = mapper.job_stream(DepthwiseConv(k=3, c=192, pad=1),
-                                   TensorShape(8, 8, 192), depthwise_block(16))
+                                   TensorShape(8, 8, 192), MappingStrategy(16))
         job = stream.jobs[len(stream.jobs) // 2]
         real = [s for s in job.segments if not s.zero_fill]
         assert all(s.length == 16 for s in job.segments)
@@ -114,8 +116,8 @@ class TestJobStream:
         (StandardConv(k=3, c_in=5, c_out=7, stride=2, pad=1),
          mapper.STANDARD_IM2COL, TensorShape(9, 7, 5)),
         (PointwiseConv(6, 11), mapper.STANDARD_IM2COL, TensorShape(5, 5, 6)),
-        (DepthwiseConv(k=3, c=12, pad=1), depthwise_block(8), TensorShape(6, 6, 12)),
-        (DepthwiseConv(k=2, c=7, stride=2), depthwise_block(3), TensorShape(8, 8, 7)),
+        (DepthwiseConv(k=3, c=12, pad=1), MappingStrategy(8), TensorShape(6, 6, 12)),
+        (DepthwiseConv(k=2, c=7, stride=2), MappingStrategy(3), TensorShape(8, 8, 7)),
     ])
     def test_output_coverage_exact(self, layer, strategy, shape):
         # every output byte written exactly once
@@ -129,7 +131,7 @@ class TestJobStream:
     def test_input_rows_match_region(self):
         # sum of segment lengths equals the region's DAC row count
         layer = DepthwiseConv(k=3, c=12, pad=1)
-        strategy = depthwise_block(8)
+        strategy = MappingStrategy(8)
         alloc = mapper.map_layer(layer, strategy)
         stream = mapper.job_stream(layer, TensorShape(6, 6, 12), strategy)
         rows = alloc.regions[0].rows
@@ -138,7 +140,7 @@ class TestJobStream:
 
     def test_jobs_are_built_once(self):
         stream = mapper.job_stream(DepthwiseConv(k=3, c=12, pad=1),
-                                   TensorShape(6, 6, 12), depthwise_block(8))
+                                   TensorShape(6, 6, 12), MappingStrategy(8))
         assert "jobs" not in vars(stream)  # nothing enumerated up front
         assert stream.jobs is stream.jobs
         assert len(stream.jobs) == 2 * 36
@@ -183,7 +185,7 @@ class TestJobStream:
 
     def test_gather_rejects_a_misshaped_input(self):
         stream = mapper.job_stream(DepthwiseConv(k=3, c=4, pad=1),
-                                   TensorShape(5, 6, 4), depthwise_block(2))
+                                   TensorShape(5, 6, 4), MappingStrategy(2))
         with pytest.raises(ValueError, match="input of shape"):
             next(mapper.gather_inputs(stream, np.zeros((6, 5, 4), np.uint8)))
 
@@ -219,7 +221,7 @@ def region_weight_matrix_loop(alloc, weights, region_index=0) -> np.ndarray:
 class TestWeightMatrices:
     def test_depthwise_block_is_diagonal(self):
         layer = DepthwiseConv(k=3, c=8)
-        alloc = mapper.map_layer(layer, depthwise_block(4))
+        alloc = mapper.map_layer(layer, MappingStrategy(4))
         w = np.arange(9 * 8).reshape(3, 3, 8) % 8 - 4
         block = mapper.region_weight_matrix(alloc, w)[1]
         assert block.shape == (36, 4)
@@ -266,7 +268,7 @@ class TestWeightMatrices:
     @pytest.mark.parametrize("layer,strategy,bad_shape", [
         (StandardConv(k=2, c_in=3, c_out=2), mapper.STANDARD_IM2COL, (12, 2)),
         (PointwiseConv(c_in=3, c_out=2), mapper.STANDARD_IM2COL, (2, 3)),
-        (DepthwiseConv(k=3, c=8), depthwise_block(4), (9, 8)),
+        (DepthwiseConv(k=3, c=8), MappingStrategy(4), (9, 8)),
     ], ids=["standard", "pointwise", "depthwise"])
     def test_misshaped_weights_rejected(self, layer, strategy, bad_shape):
         alloc = mapper.map_layer(layer, strategy)
@@ -283,19 +285,49 @@ def test_network_device_count_small():
     # pointwise 16 weights + depthwise 9*4*2 = 72 weights
     assert rep.devices_total == 2 * (16 + 72)
     assert rep.devices_useful == 2 * (16 + 36)
-    assert rep.params_total == 52
-    assert rep.ratio == pytest.approx(88 / 52)
+    assert rep.ratio == 88 / 52
+
+
+@pytest.mark.parametrize("c_job", [None, 8, 16], ids=["full", "8", "16"])
+@pytest.mark.parametrize("bottlenecks_only", [False, True],
+                         ids=["all", "bottlenecks"])
+def test_device_ratio_is_devices_over_twice_params(c_job, bottlenecks_only):
+    net = workload.mobilenet_v2_preset()
+    if bottlenecks_only:
+        net = net.without_stem_head()
+    rep = mapper.network_device_count(net, mapper.uniform_policy(c_job))
+    n_params = sum(workload.params(nl.layer) for nl in net.layers)
+    assert rep.ratio == rep.devices_total / (2 * n_params)
+
+
+def test_device_count_builds_no_regions(monkeypatch):
+    # counting reads each allocation's group geometry, never its regions
+    def no_region(*args):
+        raise AssertionError("device counting built a Region")
+
+    monkeypatch.setattr(mapper, "Region", no_region)
+    rep = mapper.network_device_count(workload.mobilenet_v2_preset(),
+                                      mapper.uniform_policy(1))
+    assert (rep.devices_total, rep.devices_useful) == (4_379_520, 4_379_520)
+
+
+def test_allocation_is_its_group_geometry():
+    alloc = mapper.map_depthwise(DepthwiseConv(k=3, c=12), 8)
+    assert [f.name for f in dataclasses.fields(alloc)] == \
+        ["layer", "strategy", "groups", "rows", "cols"]
+    assert (alloc.groups, alloc.rows, alloc.cols) == (2, 72, 8)
+    assert alloc.regions == (Region(0, 0, 72, 8), Region(72, 8, 72, 8))
 
 
 def test_uniform_policy_caps_cjob_at_channel_count():
     policy = mapper.uniform_policy(16)
     strategy = policy(DepthwiseConv(k=3, c=8))
-    assert strategy == depthwise_block(8)
+    assert strategy == MappingStrategy(8)
 
 
 def test_strategy_layer_mismatch_rejected():
     with pytest.raises(ValueError):
-        mapper.map_layer(PointwiseConv(4, 4), depthwise_block(2))
+        mapper.map_layer(PointwiseConv(4, 4), MappingStrategy(2))
     with pytest.raises(ValueError):
         mapper.map_layer(DepthwiseConv(k=3, c=4), mapper.STANDARD_IM2COL)
 
@@ -312,8 +344,8 @@ def _accepts(fn, *args) -> bool:
     StandardConv(k=3, c_in=4, c_out=4, pad=1), PointwiseConv(4, 4),
     DepthwiseConv(k=3, c=4, pad=1)], ids=["standard", "pointwise", "depthwise"])
 @pytest.mark.parametrize("strategy", [
-    mapper.STANDARD_IM2COL, depthwise_block(1), depthwise_block(2),
-    depthwise_block(4), depthwise_block(5)],
+    mapper.STANDARD_IM2COL, MappingStrategy(1), MappingStrategy(2),
+    MappingStrategy(4), MappingStrategy(5)],
     ids=["dense", "cjob1", "cjob2", "cjob4", "cjob5"])
 def test_strategy_checks_agree(layer, strategy):
     # depthwise layers, and only they, take a c_job, of at most c

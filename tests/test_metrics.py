@@ -75,7 +75,7 @@ class TestArea:
 
 def synthetic_schedule(**overrides) -> ScheduleResult:
     defaults = dict(
-        plan=Plan.HYBRID, ports=PortConfig(4, 4),
+        ports=PortConfig(4, 4),
         layers=(), totals=PhaseBreakdown(), macs=0,
         bytes_streamed_in=0, bytes_streamed_out=0, ima_jobs=0,
         f_hz=250_000_000)
@@ -226,6 +226,6 @@ def test_settable_calibration_keys():
         "ima.t_array_ns"]
 
 
-def test_calibrated_cluster_area_flagged(cal):
+def test_calibrated_cluster_area_flagged():
     # the defaults ship with an explicit fitted-constants note
-    assert "fitted" in cal.note
+    assert "fitted" in shipped()["note"]

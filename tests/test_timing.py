@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from imasim import mapper, timing
-from imasim.mapper import Segment, depthwise_block
+from imasim.mapper import MappingStrategy, Segment
 from imasim.timing import (
     PORT_CHOICES,
     PhaseBreakdown,
@@ -125,7 +125,7 @@ class TestSwLayers:
 
     def test_ima_depthwise_has_no_marshalling(self, cal):
         dw = DepthwiseConv(k=3, c=192, pad=1)
-        phases = timing.layer_cycles_ima(dw, depthwise_block(16),
+        phases = timing.layer_cycles_ima(dw, MappingStrategy(16),
                                          TensorShape(32, 32, 192),
                                          PortConfig(4, 4), cal.ima, cal.cluster)
         assert phases.marshal == 0
@@ -286,7 +286,7 @@ def random_geometry(rng: np.random.Generator, kind: str):
         else:
             c = int(rng.integers(1, 40))
             layer = DepthwiseConv(k=k, c=c, stride=stride, pad=pad)
-            strategy = depthwise_block(int(rng.integers(1, c + 1)))
+            strategy = MappingStrategy(int(rng.integers(1, c + 1)))
     lo = max(1, k - 2 * pad)  # smallest input with a non-empty output
     shape = TensorShape(int(rng.integers(lo, lo + 9)),
                         int(rng.integers(lo, lo + 9)),
@@ -383,7 +383,7 @@ def oracle_schedule(b, plan, ports, ima, cluster):
     totals = PhaseBreakdown()
     for _, phases in entries:
         totals = totals + phases
-    return timing.ScheduleResult(plan=plan, ports=ports, layers=tuple(entries),
+    return timing.ScheduleResult(ports=ports, layers=tuple(entries),
                                  totals=totals, macs=total_macs,
                                  bytes_streamed_in=bytes_in,
                                  bytes_streamed_out=bytes_out,
@@ -426,8 +426,7 @@ def test_placement_table_matches_per_layer_walk(cal):
             rows = timing.placements(b, plan)
             for ports in port_pairs:
                 want = oracle_schedule(b, plan, ports, cal.ima, cal.cluster)
-                got = timing.fold_schedule(rows, plan, ports, cal.ima,
-                                           cal.cluster)
+                got = timing.fold_schedule(rows, ports, cal.ima, cal.cluster)
                 assert got == want, (b, plan, ports)
             # the public entry point is the fold of a freshly built table
             assert timing.bottleneck_schedule(b, plan, ports, cal.ima,

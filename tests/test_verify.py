@@ -125,7 +125,7 @@ class TestEquivalence:
         layer = DepthwiseConv(k=3, c=12, stride=1, pad=1)
         inp = u8(rng.integers(0, 256, size=(6, 6, 12)))
         w = rng.integers(-8, 8, size=(3, 3, 12))
-        result = check_equivalence(layer, mapper.depthwise_block(8), inp, w,
+        result = check_equivalence(layer, mapper.MappingStrategy(8), inp, w,
                                    AdcConfig(0.02))
         assert result.ok, str(result)
 
@@ -217,7 +217,7 @@ def test_emulated_layer_takes_one_adc_call(monkeypatch):
     inp = u8(rng.integers(0, 256, size=(7, 6, 11)))
     w = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1, size=(3, 3, 11))
     adc = AdcConfig(tuple(rng.uniform(0.01, 0.1, size=11)))
-    strategy = mapper.depthwise_block(4)
+    strategy = mapper.MappingStrategy(4)
     alloc = mapper.map_layer(layer, strategy)
     assert len(alloc.regions) == 3
     stream = mapper.job_stream(layer, inp.shape, strategy)
@@ -314,7 +314,7 @@ def test_noisy_batched_emulation_draws_noise():
     layer = DepthwiseConv(k=3, c=12, stride=1, pad=1)
     inp = u8(rng.integers(0, 256, size=(8, 8, 12)))
     w = rng.integers(-8, 8, size=(3, 3, 12))
-    case = (layer, mapper.depthwise_block(5), inp, w, AdcConfig(0.02))
+    case = (layer, mapper.MappingStrategy(5), inp, w, AdcConfig(0.02))
     (clean, _), _ = _emulate_both(case)
     (noisy, _), (oracle, _) = _emulate_both(case, noise_sigma=0.5, seed=3)
     assert np.array_equal(noisy, oracle)
@@ -358,7 +358,7 @@ def random_multigroup_depthwise(rng: np.random.Generator):
     c = int(rng.integers(2, 13))
     layer = DepthwiseConv(k=k, c=c, stride=int(rng.integers(1, 3)),
                           pad=int(rng.integers(0, 2)))
-    strategy = mapper.depthwise_block(int(rng.integers(1, c)))
+    strategy = mapper.MappingStrategy(int(rng.integers(1, c)))
     inp = u8(rng.integers(0, 256, size=(int(rng.integers(k, k + 5)),
                                         int(rng.integers(k, k + 5)), c)))
     w = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1, size=(k, k, c))
@@ -407,7 +407,7 @@ def test_small_depthwise_layer_is_one_stacked_product(monkeypatch):
     # a tiny 12-group layer is gathered as one stack and driven through one
     # stacked call: no per-region loop around the crossbar
     layer = DepthwiseConv(k=3, c=12, pad=1)
-    strategy = mapper.depthwise_block(1)
+    strategy = mapper.MappingStrategy(1)
     rng = np.random.default_rng(34)
     inp = u8(rng.integers(0, 256, size=(5, 5, 12)))
     w = rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1, size=(3, 3, 12))
@@ -644,7 +644,7 @@ def random_case_choice(rng: np.random.Generator):
         c = int(rng.integers(1, 13))
         pad = int(rng.integers(0, 2))
         layer = DepthwiseConv(k=k, c=c, stride=int(rng.integers(1, 3)), pad=pad)
-        strategy = mapper.depthwise_block(int(rng.integers(1, c + 1)))
+        strategy = mapper.MappingStrategy(int(rng.integers(1, c + 1)))
     h = int(rng.integers(k, k + 5))
     w = int(rng.integers(k, k + 5))
     c_in = workload.in_channels(layer)

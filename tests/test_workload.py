@@ -18,7 +18,7 @@ from imasim.workload import (
 def depthwise_param_share(net: wl.NetworkDescriptor) -> float:
     dw = sum(wl.params(nl.layer) for nl in net.layers
              if isinstance(nl.layer, DepthwiseConv))
-    return dw / wl.network_params(net)
+    return dw / sum(wl.params(nl.layer) for nl in net.layers)
 
 
 def test_output_shape_pointwise_preserves_spatial():
@@ -125,7 +125,8 @@ class TestMobileNetV2Preset:
         assert "b2.expand" in names
 
     def test_total_conv_params_near_2p2m(self):
-        total = wl.network_params(wl.mobilenet_v2_preset())
+        total = sum(wl.params(nl.layer)
+                    for nl in wl.mobilenet_v2_preset().layers)
         assert total == 2_189_760
         assert abs(total - 2.2e6) / 2.2e6 < 0.10
 
