@@ -40,12 +40,14 @@ O(out_size).
 `job_stream` describes the same traffic for functional emulation in
 `verify`, where bytes are actually pushed through a crossbar; the cycle
 model never builds one. `gather_inputs` runs a stream's virtual im2col on
-an input tensor: one (P, k^2) index of input pixels, shared by every
-region, and per stack of consecutive regions one numpy gather of whole
-pixel rows from a group-major copy of the input. A stack holds as many
-regions as fit a fixed float64 budget (`_STACK_FLOATS`), and at least
-one: a small layer is one stack, and each region of a full-size layer is
-its own, so emulation never holds more than one large region's inputs.
+an input tensor in blocks of regions x output pixels: per range of output
+pixels one (p, k^2) index of input pixels, shared by every region, and per
+block one numpy gather of whole pixel rows from a zero-bordered
+group-major copy of the input. A block fits the float64 budget
+`xbar._STACK_FLOATS`: consecutive regions that fit whole stack into one
+block, so a small layer is one block, and a region that does not fit is
+split into ranges of output pixels, so emulation memory does not grow
+with a layer's output pixels.
 `region_weight_matrix` builds every region's weight block in one
 vectorized write. `JobStream.jobs` enumerates the jobs as explicit
 (offset, length) segments, on first access only: it is the test oracle
@@ -60,6 +62,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import xbar
 from .workload import (
     DepthwiseConv,
     LayerDescriptor,
@@ -75,12 +78,6 @@ from .workload import (
     weight_shape,
 )
 from .xbar import DEVICES_PER_WEIGHT, Region
-
-# Float64 values (256 KiB) that one stack of regions' inputs may take once
-# the crossbar converts them. Small layers run as one stack; a region
-# larger than this, such as a full-size layer's, runs alone, so its peak
-# memory is that of one region.
-_STACK_FLOATS = 2**15
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,20 +223,30 @@ def job_stream(layer: LayerDescriptor, in_shape: TensorShape,
     return JobStream(layer, strategy, in_shape, output_shape(layer, in_shape))
 
 
-def gather_inputs(stream: JobStream, data: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the regions' inputs in stacks of consecutive regions, in
-    region order: a (g, P, rows) array per stack of g regions.
+def gather_inputs(stream: JobStream,
+                  data: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield the regions' inputs in blocks, as `(g, p0, x)`: x is the
+    (n, p, rows) input of regions g to g + n - 1 at output pixels p0 to
+    p0 + p - 1. Blocks run pixel range by pixel range and, within one, in
+    region order, so every region meets its pixels in order.
 
     Row p of region g is the concatenated segments of the region's job for
     output pixel p: the streamer's virtual im2col of `data`, the (h, w, c)
-    input. One (P, k^2) index of input pixels, shared by every region,
-    plays the address generator; a tap in the padding border points at
-    pixel h*w, a zero pixel one past the input. The input is copied once
-    into a group-major array of shape (groups, h*w + 1, width), width being
-    c_job or, for a dense layer, c, whose zero pixel and zero channel tail
-    of a partial last group supply the zero-fill bytes. A stack is then one
-    gather of whole pixel rows from its groups' slabs. It holds as many
-    regions as fit `_STACK_FLOATS` float64 input values, and at least one.
+    input. The input is copied once into a group-major array of shape
+    (groups, (h + 2 pad) * (w + 2 pad), width), width being c_job or, for a
+    dense layer, c, whose zero border and zero channel tail of a partial
+    last group supply the zero-fill bytes. A (p, k^2) index of padded
+    input pixels per pixel range, shared by every region, plays the
+    address generator: output pixel (oy, ox) reads padded pixel
+    (oy * stride + ky, ox * stride + kx) at tap (ky, kx). A block is then
+    one gather of whole pixel rows from its groups' slabs.
+
+    A block holds n * p * max(rows, cols) <= `xbar._STACK_FLOATS` values,
+    so neither its inputs nor its sums exceed the budget once converted to
+    float64, and at least one region and one pixel. When all P pixels of a
+    region fit, one pixel range covers them and consecutive regions stack
+    whole; otherwise each region is split into the fewest pixel ranges
+    that fit, of near-equal size.
     """
     layer, in_shape, out = stream.layer, stream.in_shape, stream.out_shape
     k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
@@ -247,33 +254,40 @@ def gather_inputs(stream: JobStream, data: np.ndarray) -> Iterator[np.ndarray]:
     if np.shape(data) != (h, w, c):
         raise ValueError(f"input of shape {np.shape(data)}, stream expects "
                          f"{(h, w, c)}")
-    iy = (np.arange(out.height) * stride - pad)[:, None] + np.arange(k)
-    ix = (np.arange(out.width) * stride - pad)[:, None] + np.arange(k)
-    inside = (((iy >= 0) & (iy < h))[:, None, :, None]
-              & ((ix >= 0) & (ix < w))[None, :, None, :])
-    taps = np.where(inside, iy[:, None, :, None] * w + ix[None, :, None, :],
-                    h * w).reshape(out.height * out.width, k * k)
     width = stream.strategy.c_job or c
-    packed = _group_major(np.reshape(data, (h * w, c)), width)
-    stack = max(1, _STACK_FLOATS // (taps.size * width))
-    for g in range(0, len(packed), stack):
-        x = np.take(packed[g:g + stack], taps, axis=1)
-        yield x.reshape(len(x), len(taps), -1)
+    packed = _group_major(np.asarray(data), width, pad)
+    wp = w + 2 * pad  # padded input width
+    offsets = (np.arange(k)[:, None] * wp + np.arange(k)).ravel()
+    rows = k * k * width
+    per_pixel = max(rows, stream.strategy.c_job or out.channels)
+    total = out.height * out.width
+    cap = max(1, xbar._STACK_FLOATS // per_pixel)
+    pixels = -(-total // -(-total // cap))  # fewest near-equal blocks
+    stack = max(1, xbar._STACK_FLOATS // (pixels * per_pixel))
+    for p in range(0, total, pixels):
+        oy, ox = np.divmod(np.arange(p, min(p + pixels, total)), out.width)
+        taps = ((oy * wp + ox) * stride)[:, None] + offsets
+        for g in range(0, len(packed), stack):
+            x = np.take(packed[g:g + stack], taps, axis=1)
+            yield g, p, x.reshape(len(x), len(taps), rows)
 
 
-def _group_major(flat: np.ndarray, width: int) -> np.ndarray:
-    """(groups, pixels + 1, width) copy of (pixels, c) input `flat`, group
-    g holding channels g*width on, with a zero pixel last and zero
-    channels past c. Filled in place: a channel-padded temporary copy
-    cost the emulate benchmark about 1,400 extra page faults a pass."""
-    pixels, c = flat.shape
+def _group_major(data: np.ndarray, width: int, pad: int) -> np.ndarray:
+    """(groups, (h + 2 pad) * (w + 2 pad), width) copy of (h, w, c) input
+    `data`, group g holding channels g*width on, with a zero border `pad`
+    pixels wide and zero channels past c. Filled in place: a
+    channel-padded temporary copy cost the emulate benchmark about 1,400
+    extra page faults a pass."""
+    h, w, c = data.shape
     full, tail = divmod(c, width)
-    packed = np.zeros((full + (tail > 0), pixels + 1, width), dtype=flat.dtype)
-    slabs = packed[:, :pixels].swapaxes(0, 1)  # (pixels, groups, width) view
-    slabs[:, :full] = flat[:, :full * width].reshape(pixels, full, width)
+    packed = np.zeros((full + (tail > 0), h + 2 * pad, w + 2 * pad, width),
+                      dtype=data.dtype)
+    # (h, w, groups, width) view of the interior
+    slabs = packed[:, pad:pad + h, pad:pad + w].transpose(1, 2, 0, 3)
+    slabs[:, :, :full] = data[:, :, :full * width].reshape(h, w, full, width)
     if tail:
-        slabs[:, full, :tail] = flat[:, full * width:]
-    return packed
+        slabs[:, :, full, :tail] = data[:, :, full * width:]
+    return packed.reshape(len(packed), -1, width)
 
 
 def _receptive_segments(in_shape: TensorShape, oy: int, ox: int,

@@ -41,9 +41,11 @@ class AreaModel:
     def __post_init__(self):
         if min(astuple(self)) < 0:
             raise ValueError("area parameters must be nonnegative")
-        if self.cluster_mm2 == 0:
-            # the cluster is always present; `report` divides by its area
-            raise ValueError("cluster_mm2 must be > 0")
+        # the cluster is always present and `report` divides by its area;
+        # a zero device area would make a design's PCM area 0 mm2
+        for name in ("pcm_device_um2", "cluster_mm2"):
+            if getattr(self, name) == 0:  # -0.0 too
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True, slots=True)

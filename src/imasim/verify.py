@@ -7,27 +7,27 @@ scale/round/clamp policy the crossbar applies. The sum is exact: every
 partial sum is an integer of magnitude at most k*k*c_in*8*255, summed in
 float64 for a dense layer (layers whose bound reaches 2**53 are rejected)
 and in int32 for a depthwise one, whose outputs sum only k*k products
-(kernels with k*k*8*255 at or above 2**31 are rejected). It never touches
-the mapper, its gathered inputs or the crossbar, so comparing it against
-the emulated pipeline (program regions -> stream jobs -> bitline sums ->
-one ADC call) validates the mapping and streaming machinery, not the
+(kernels with k*k*8*255 at or above 2**31 are rejected). It runs over
+blocks of output rows, each requantized into the int8 output, so its
+temporaries stay within the float64 budget `xbar._STACK_FLOATS`. It never
+touches the mapper, its gathered inputs or the crossbar, so comparing it
+against the emulated pipeline (program regions -> stream jobs -> bitline
+sums -> ADC) validates the mapping and streaming machinery, not the
 requantization choice.
 
 With noise disabled the two paths must agree bit for bit on every layer
 kind, including padded borders and partial depthwise channel groups.
 
-`execute_job_stream` runs a layer in stacks of consecutive regions:
-`mapper.gather_inputs` gathers a stack's (g, P, rows) inputs by whole input
-pixels, through one (P, k^2) tap index that all regions share, and one
-`xbar.accumulate_stack` call computes their bitline sums, noisy or not,
-in one float64 product, written into the regions' columns of one float64
-accumulator for the layer. A stack holds as many regions as fit a fixed
-float64 budget, and at least one, so a small layer is one stack and a
-full-size region runs alone. The arrays, their seeded generators, the
-programming-noise matvecs and the read-noise draws stay per region, in
-region order. One ADC call then converts the whole layer, as in
-`reference_conv`. Jobs reach each region's array in stream order, so
-seeded noise draws match those of one `mvm` call per job;
+`execute_job_stream` runs a layer in blocks of regions x output pixels
+under the same budget: `mapper.gather_inputs` gathers each block's
+(g, p, rows) inputs by whole input pixels, through a (p, k^2) tap index
+per pixel range that all regions share; one `xbar.accumulate_stack` call
+computes the block's bitline sums, noisy or not, in one float64 product;
+and one ADC call, with the layer's scale vector, converts them straight
+into the layer's int8 output. A small layer is one block; a full-size
+region is split into pixel blocks. The arrays and their seeded generators
+stay per region, and each region's read-noise draws run in pixel order,
+so seeded noise draws match those of one `mvm` call per job;
 `gather_job_input` is that per-job path's building block.
 """
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mapper
+from . import mapper, xbar
 from .mapper import CrossbarAllocation, JobStream, MappingStrategy
 from .workload import (
     DepthwiseConv,
@@ -54,12 +54,14 @@ from .workload import (
     weight_shape,
 )
 from .xbar import (
+    _WEIGHT_MAG,
     INPUT_MAX,
     WEIGHT_MAX,
     WEIGHT_MIN,
     AdcConfig,
     ProgrammedArray,
     Region,
+    _requantize,
     accumulate_stack,
 )
 
@@ -70,7 +72,6 @@ _ACC_BOUND = 2**53
 # A depthwise output sums k*k products, one per tap; below _INT32_BOUND
 # int32 holds every partial sum.
 _INT32_BOUND = 2**31
-_WEIGHT_MAG = max(-WEIGHT_MIN, WEIGHT_MAX)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,11 +95,14 @@ def reference_conv(layer: LayerDescriptor, inp: QuantTensor, weights,
     """Direct quantized convolution with exact wide accumulation.
 
     Weights have the canonical layout of `workload.weight_shape`, as in
-    `mapper.region_weight_matrix`. Each filter tap (ky, kx) adds its strided
-    slice of the zero-padded input times that tap's weights to one
-    accumulator (int32 for depthwise, float64 otherwise), which the ADC
-    policy then requantizes in one call. The first tap writes the
-    accumulator and each later tap one reused scratch buffer.
+    `mapper.region_weight_matrix`. The output rows run in blocks of at most
+    `xbar._STACK_FLOATS` values over max(c_in, c_out) channels, the width
+    of a block's accumulator and of a tap slice's float64 copy. Within a
+    block, each filter tap (ky, kx) adds its strided slice of the
+    zero-padded input times that tap's weights to one accumulator (int32
+    for depthwise, float64 otherwise), which the ADC policy then
+    requantizes into the block's rows of the int8 output. The first tap
+    writes the accumulator and each later tap one reused scratch buffer.
     """
     k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
     depthwise = isinstance(layer, DepthwiseConv)
@@ -114,6 +118,7 @@ def reference_conv(layer: LayerDescriptor, inp: QuantTensor, weights,
     out_shape = output_shape(layer, inp.shape)
     oh, ow, c_out = out_shape.height, out_shape.width, out_shape.channels
     h, wdt, c_in = inp.data.shape
+    scales = adc.scales(c_out)
     if depthwise:
         w = w.reshape(k, k, c_out).astype(np.int32)
         acc_dtype, product = np.int32, np.multiply
@@ -122,17 +127,22 @@ def reference_conv(layer: LayerDescriptor, inp: QuantTensor, weights,
         acc_dtype, product = np.float64, np.matmul
     x = np.zeros((h + 2 * pad, wdt + 2 * pad, c_in), dtype=inp.data.dtype)
     x[pad:pad + h, pad:pad + wdt] = inp.data
-    acc = np.empty((oh, ow, c_out), dtype=acc_dtype)
+    block = min(oh, max(1, xbar._STACK_FLOATS // (ow * max(c_in, c_out))))
+    acc = np.empty((block, ow, c_out), dtype=acc_dtype)
     scratch = np.empty_like(acc) if k > 1 else None
-    for ky in range(k):
-        for kx in range(k):
-            tap = x[ky:ky + (oh - 1) * stride + 1:stride,
-                    kx:kx + (ow - 1) * stride + 1:stride]
-            if ky == kx == 0:
-                product(tap, w[0, 0], out=acc)
-            else:
-                acc += product(tap, w[ky, kx], out=scratch)
-    return QuantTensor(out_shape, adc.requantize(acc))
+    out = np.empty((oh, ow, c_out), dtype=np.int8)
+    for y0 in range(0, oh, block):
+        n = min(block, oh - y0)
+        for ky in range(k):
+            for kx in range(k):
+                tap = x[y0 * stride + ky:(y0 + n - 1) * stride + ky + 1:stride,
+                        kx:kx + (ow - 1) * stride + 1:stride]
+                if ky == kx == 0:
+                    product(tap, w[0, 0], out=acc[:n])
+                else:
+                    acc[:n] += product(tap, w[ky, kx], out=scratch[:n])
+        out[y0:y0 + n] = _requantize(acc[:n], scales)
+    return QuantTensor(out_shape, out)
 
 
 def program_allocation(alloc: CrossbarAllocation, weights, *,
@@ -170,28 +180,33 @@ def execute_job_stream(arrays: list[ProgrammedArray], stream: JobStream,
                        inp: QuantTensor, adc: AdcConfig) -> QuantTensor:
     """Run every job through the crossbar and assemble the output tensor.
 
-    The regions' inputs arrive in stacks of consecutive regions (see
-    `mapper.gather_inputs`), and each stack drives its arrays through one
-    `accumulate_stack` call. Region g's bitline sums fill columns `g * cols`
-    to `(g + 1) * cols` of one float64 accumulator over every output pixel
-    (a dense layer has one region), a stack's in one strided write; one ADC
-    call then converts its first `c_out` columns, the layer's real outputs.
-    An ADC configuration without exactly one scale, or one per output
-    channel, raises `DimensionMismatch`, as in `reference_conv`.
+    The regions' inputs arrive in blocks of regions x output pixels (see
+    `mapper.gather_inputs`), and each block drives its arrays through one
+    `accumulate_stack` call. One ADC call converts the block's sums into
+    its pixels' rows of region columns `g * cols` to `(g + n) * cols` of an
+    int8 output over every region's columns (a dense layer has one region).
+    The layer's scale vector is built once: one scale per output channel,
+    then 1.0 for a partial tail group's padding columns, which the output
+    drops. An ADC configuration without exactly one scale, or one per
+    output channel, raises `DimensionMismatch` before any array runs, as in
+    `reference_conv`.
     """
     out_shape = stream.out_shape
     c_out = out_shape.channels
-    adc.scales(c_out)  # a wrong scale count fails before any array runs
+    cols = arrays[0].cols
+    scales = np.ones(len(arrays) * cols)
+    scales[:c_out] = adc.scales(c_out)
+    scales = scales.reshape(len(arrays), 1, cols)
     pixels = out_shape.height * out_shape.width
-    acc = np.empty((pixels, len(arrays), arrays[0].cols))
-    g = 0
-    for x in mapper.gather_inputs(stream, inp.data):
-        acc[:, g:g + len(x)] = \
-            accumulate_stack(arrays[g:g + len(x)], x).swapaxes(0, 1)
-        g += len(x)
-    out = adc.requantize(acc.reshape(pixels, -1)[:, :c_out])
+    out = np.empty((pixels, len(arrays), cols), dtype=np.int8)
+    for g, p, x in mapper.gather_inputs(stream, inp.data):
+        n = len(x)
+        sums = accumulate_stack(arrays[g:g + n], x)
+        out[p:p + x.shape[1], g:g + n] = \
+            _requantize(sums, scales[g:g + n]).swapaxes(0, 1)
+    data = out.reshape(pixels, -1)[:, :c_out]
     return QuantTensor(out_shape,
-                       out.reshape(out_shape.height, out_shape.width, c_out))
+                       data.reshape(out_shape.height, out_shape.width, c_out))
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,26 +9,33 @@ and clamping to produce an 8-bit signed output:
 
     y_i = clamp(round(s_i * sum_j A_ij * x_j), -128, 127)
 
-The integer accumulation is exact: it runs as a float64 matrix product, and
-every partial sum is an integer of magnitude at most rows * 255 * 8, far
-below 2**53. Noise-free calls are therefore deterministic and bit-identical
-to a direct integer reference. `accumulate` returns those bitline sums,
-noise included, before the ADC, and `mvm` is one `AdcConfig.requantize`
-call on them; an emulator that spreads a layer over several arrays can
-collect their sums and convert the whole layer in one ADC call. Both take
-one input vector or a batch of them; a batch of n behaves exactly as n
-successive single-vector calls, noise draws included.
+The accumulation is exact: it runs as one float64 matrix product of the
+inputs and the cells' values, and every product and partial sum is exactly
+representable (see below), so the sum does not depend on its order.
+Noise-free calls are therefore deterministic and bit-identical to a direct
+integer reference. `accumulate` returns the bitline sums, noise included,
+before the ADC, and `mvm` is one `AdcConfig.requantize` call on them; an
+emulator that spreads a layer over several arrays can convert their sums
+block by block with one scale vector for the layer. Both take one input
+vector or a batch of them; a batch of n behaves exactly as n successive
+single-vector calls, noise draws included.
 
 `accumulate_stack` drives a stack of g equally-shaped arrays, array j with
 its own batch, in one float64 product; `accumulate` is its one-array case.
-Only the noise terms stay per array, in stack order: the programming-noise
-matvec of every input vector and the read-noise draw from each array's own
-generator. Array j thus ends with the sums and the RNG state of one
-`accumulate` call on its batch alone.
+Only the read-noise draws stay per array, in stack order, each from the
+array's own generator. Array j thus ends with the sums and the RNG state of
+one `accumulate` call on its batch alone.
 
 Two optional Gaussian noise terms model device non-ideality:
 - `program_sigma`: drawn once per programmed cell at programming time
-  (frozen write error), region by region in row-major order;
+  (frozen write error), region by region in row-major order, and stored in
+  fixed point, rounded to a multiple of 2**-24. A cell's value W + P is
+  then a multiple of 2**-24, and so is each product with an integer input
+  and each partial sum of a column. `program` rejects an array whose
+  column sums could reach 2**29 (rows * 255 * (8 + max|P|)): below that a
+  multiple of 2**-24 needs at most 53 significant bits, so float64 holds
+  every partial sum exactly and programming noise rides in the same
+  product as the weights, with no separate matvec;
 - `noise_sigma`: read noise, drawn per output column per input vector.
   Column c's read-noise term sum_r mask_rc * n_rc * x_r, with iid
   n_rc ~ N(0, noise_sigma**2) per cell, has exactly the distribution
@@ -39,6 +46,10 @@ Both sigmas must be finite and >= 0; 0 disables the term. Noise applies to
 programmed cells only; unprogrammed cells read as exact 0 and add no
 variance. The RNG is owned by the array instance and is never shared
 implicitly.
+
+`_STACK_FLOATS` is the float64 budget of one block of emulation work: the
+functional emulator in `verify` and the golden model size every temporary
+that grows with a layer's output pixels by it.
 """
 
 from __future__ import annotations
@@ -55,6 +66,14 @@ INPUT_MAX = 255
 OUT_MIN = -128
 OUT_MAX = 127
 DEVICES_PER_WEIGHT = 2
+_WEIGHT_MAG = max(-WEIGHT_MIN, WEIGHT_MAX)
+# Programming noise is stored as a multiple of 2**-_NOISE_FRAC_BITS; column
+# sums of such values below _EXACT_SUM_BOUND are exact in float64.
+_NOISE_FRAC_BITS = 24
+_EXACT_SUM_BOUND = 2**(53 - _NOISE_FRAC_BITS)
+# Float64 values (512 KiB) that one block of a layer's emulation, or of its
+# golden model, may hold in one temporary: a block's inputs or its sums.
+_STACK_FLOATS = 2**16
 
 
 class WeightOutOfRange(ValueError):
@@ -121,19 +140,25 @@ class AdcConfig:
         return AdcConfig(tuple(padded[start:stop]))
 
     def requantize(self, acc: np.ndarray) -> np.ndarray:
-        """Scale, round half away from zero, clamp. Returns int8.
+        """Scale, round half away from zero, clamp. Returns int8."""
+        return _requantize(acc, self.scales(acc.shape[-1]))
 
-        Works in place on one float64 buffer, so a large batch adds one
-        accumulator-sized array to peak memory. The scales are positive,
-        so |acc| * s is |acc * s| and acc carries the sign.
-        """
-        r = np.abs(acc, dtype=np.float64)
-        r *= self.scales(acc.shape[-1])
-        r += 0.5
-        np.floor(r, out=r)
-        np.copysign(r, acc, out=r)
-        np.clip(r, self.lo, self.hi, out=r)
-        return r.astype(np.int8)
+
+def _requantize(acc: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """The ADC on sums `acc` with positive `scales` broadcast along their
+    last axis: scale, round half away from zero, clamp to int8.
+
+    Works in place on one float64 buffer, so it adds one sums-sized array
+    to peak memory. The scales are positive, so |acc| * s is |acc * s| and
+    acc carries the sign.
+    """
+    r = np.abs(acc, dtype=np.float64)
+    r *= scales
+    r += 0.5
+    np.floor(r, out=r)
+    np.copysign(r, acc, out=r)
+    np.clip(r, OUT_MIN, OUT_MAX, out=r)
+    return r.astype(np.int8)
 
 
 class ProgrammedArray:
@@ -170,7 +195,11 @@ class ProgrammedArray:
         """Write an integer weight block into `region`.
 
         Rejects weights outside [-8, 7], regions that overflow the array,
-        and regions overlapping previously programmed cells.
+        and regions overlapping previously programmed cells. With
+        `program_sigma` > 0 it draws the region's frozen noise, stored
+        rounded to a multiple of 2**-24, and raises ValueError when a
+        column sum could then leave the exact range (see the module
+        docstring); the generator has drawn by then.
         """
         w = np.asarray(weights, dtype=np.int64)
         if w.shape != (region.rows, region.cols):
@@ -188,13 +217,21 @@ class ProgrammedArray:
         cs = slice(region.col_off, region.col_off + region.cols)
         if np.count_nonzero(self.mask[rs, cs]):
             raise RegionOverlap(f"{region} overlaps programmed cells")
-        self.weights[rs, cs] = w
-        self.mask[rs, cs] = True
         if self.program_sigma > 0:
+            draw = self._rng.normal(0.0, self.program_sigma,
+                                    size=(region.rows, region.cols))
+            noise = np.ldexp(np.round(np.ldexp(draw, _NOISE_FRAC_BITS)),
+                             -_NOISE_FRAC_BITS)
             if self._program_noise is None:
                 self._program_noise = np.zeros((self.rows, self.cols))
-            self._program_noise[rs, cs] = self._rng.normal(
-                0.0, self.program_sigma, size=(region.rows, region.cols))
+            peak = max(np.abs(noise).max(initial=0.0),
+                       np.abs(self._program_noise).max())
+            if self.rows * INPUT_MAX * (_WEIGHT_MAG + peak) >= _EXACT_SUM_BOUND:
+                raise ValueError(f"programming noise up to {peak:g} on "
+                                 f"{self.rows} rows leaves the exact sum range")
+            self._program_noise[rs, cs] = noise
+        self.weights[rs, cs] = w
+        self.mask[rs, cs] = True
         return self
 
     def accumulate(self, x) -> np.ndarray:
@@ -224,17 +261,17 @@ def accumulate_stack(arrays: Sequence[ProgrammedArray], x) -> np.ndarray:
     cols] for inputs x[g, n, rows], batch j driving `arrays[j]`.
 
     The sum for array j is
-    - the integer product x[j] @ W_j, one stacked float64 product for all
-      g arrays (two-dimensional when g is 1, which needs no stacked
-      temporaries) and exact because every partial sum is an integer of
-      magnitude at most rows * 255 * 8, far below 2**53;
-    - the frozen programming-noise term x[j] @ P_j, computed per input
-      vector so that row i of a batch does not depend on n;
+    - the product x[j] @ (W_j + P_j) of the inputs and the cells' values,
+      weights plus frozen programming noise, one stacked float64 product for
+      all g arrays (two-dimensional when g is 1, which needs no stacked
+      temporaries). It is exact, and so row i does not depend on n: every
+      product and partial sum is an integer, or with programming noise a
+      multiple of 2**-24, below 2**29 in magnitude (see `program`);
     - read noise noise_sigma_j * sqrt(var) * z, where var = x[j]**2 @ mask_j
       is an exact sum over programmed cells (integers of at most
       rows * 255**2; the call squares its own float64 copy of x in place)
-      and z is one (n, cols) standard-normal draw from array j's generator.
-    The noise terms run array by array, in stack order.
+      and z is one (n, cols) standard-normal draw from array j's generator,
+      the draws running array by array, in stack order.
     """
     xv = np.asarray(x)
     if xv.ndim != 3 or xv.shape[::2] != (len(arrays), arrays[0].rows):
@@ -243,17 +280,18 @@ def accumulate_stack(arrays: Sequence[ProgrammedArray], x) -> np.ndarray:
     if xv.dtype != np.uint8 and (np.any(xv < 0) or np.any(xv > INPUT_MAX)):
         raise ValueError("inputs must be unsigned 8-bit values")
     xf = xv.astype(np.float64)
-    acc = _stacked_matmul(xf, [a.weights for a in arrays])
-    for j, a in enumerate(arrays):
-        if a._program_noise is not None:
-            acc[j] += (a._program_noise.T @ xf[j, :, :, None])[:, :, 0]
+    acc = _stacked_matmul(xf, [a.weights if a._program_noise is None
+                               else a.weights + a._program_noise
+                               for a in arrays])
     if any(a.noise_sigma > 0 for a in arrays):
         var = _stacked_matmul(np.square(xf, out=xf),
                               [a.mask for a in arrays])
         for j, a in enumerate(arrays):
             if a.noise_sigma > 0:
-                acc[j] += a.noise_sigma * np.sqrt(var[j]) \
-                    * a._rng.standard_normal(acc.shape[1:])
+                term = np.sqrt(var[j], out=var[j])
+                term *= a.noise_sigma
+                term *= a._rng.standard_normal(term.shape)
+                acc[j] += term
     return acc
 
 
@@ -261,5 +299,5 @@ def _stacked_matmul(xf: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     """xf[j] @ mats[j] for every j, in float64; the matrices must share one
     shape."""
     if len(mats) == 1:
-        return (xf[0] @ mats[0].astype(np.float64))[None]
+        return (xf[0] @ mats[0].astype(np.float64, copy=False))[None]
     return xf @ np.array(mats, dtype=np.float64)

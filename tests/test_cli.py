@@ -311,6 +311,17 @@ def test_zero_cluster_divisor_is_validation_error(capsys, override):
     assert_one_line_error(err)
 
 
+@pytest.mark.parametrize("plan", ["ima8", "sw"])
+@pytest.mark.parametrize("value", ["0", "-0.0"])
+def test_zero_device_area_is_validation_error(capsys, plan, value):
+    # rejected by name, as a zero cluster area is, under every plan
+    code, out, err = run(capsys, "simulate", "--plan", plan,
+                         "--set", f"area.pcm_device_um2={value}")
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == \
+        "error: bad calibration override: pcm_device_um2 must be > 0\n"
+
+
 @pytest.mark.parametrize("command,options", [
     ("simulate", ["--plan", "ima8"]), ("sweep", ["--out", "sweep.csv"])],
     ids=["simulate", "sweep"])

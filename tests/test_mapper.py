@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from imasim import mapper, verify, workload
+from imasim import mapper, verify, workload, xbar
 from imasim.mapper import MappingStrategy
 from imasim.workload import (
     DepthwiseConv,
@@ -146,33 +146,44 @@ class TestJobStream:
         assert len(stream.jobs) == 2 * 36
 
     def test_gather_index_rows_are_job_segments(self, monkeypatch):
-        # row p of region g's gathered input is the concatenated segments of
-        # job g * P + p; input byte i holds i + 1, so a fetched segment reads
-        # offset+1 ... offset+length and a zero-fill segment reads zeros;
-        # regions arrive in (g, P, rows) stacks of consecutive regions, one
-        # region a stack, stacks that split a layer, or the shipped budget
+        # row j of region g + i in block (g, p, x) is the concatenated
+        # segments of job (g + i) * P + p + j; input byte b holds b + 1, so a
+        # fetched segment reads offset+1 ... offset+length and a zero-fill
+        # segment reads zeros; the blocks follow the block arithmetic, one
+        # pixel of one region a block, regions split into pixel ranges or
+        # stacked, or the shipped budget
         rng = np.random.default_rng(31)
-        budgets = (1, 200, mapper._STACK_FLOATS)
-        split = 0
+        budgets = (1, 200, xbar._STACK_FLOATS)
+        split = pixel_split = 0
         for n in range(150):
             budget = budgets[n % 3]
-            monkeypatch.setattr(mapper, "_STACK_FLOATS", budget)
+            monkeypatch.setattr(xbar, "_STACK_FLOATS", budget)
             layer, strategy, inp, _, _ = verify.random_case(rng)
             shape = inp.shape
             stream = mapper.job_stream(layer, shape, strategy)
             data = np.arange(1, shape.size_bytes + 1, dtype=np.int64).reshape(
                 shape.height, shape.width, shape.channels)
             alloc = mapper.map_layer(layer, strategy)
-            stacks = list(mapper.gather_inputs(stream, data))
+            blocks = list(mapper.gather_inputs(stream, data))
             pixels = stream.out_shape.height * stream.out_shape.width
-            rows = alloc.regions[0].rows
-            fit = max(1, budget // (pixels * rows))
-            assert [len(x) for x in stacks[:-1]] == [fit] * (len(stacks) - 1)
-            assert all(x.shape[1:] == (pixels, rows) for x in stacks)
-            regions = [region for x in stacks for region in x]
-            assert len(regions) == len(alloc.regions)
-            split += 1 < len(stacks) and any(len(x) > 1 for x in stacks)
-            assert len(stream.jobs) == pixels * len(regions)
+            per_pixel = max(alloc.rows, alloc.cols)
+            splits = -(-pixels // max(1, budget // per_pixel))
+            size = -(-pixels // splits)
+            fit = max(1, budget // (size * per_pixel))
+            assert [(g, p) for g, p, _ in blocks] == [
+                (g, p) for p in range(0, pixels, size)
+                for g in range(0, alloc.groups, fit)]
+            for g, p, x in blocks:
+                assert x.shape == (min(fit, alloc.groups - g),
+                                   min(size, pixels - p), alloc.rows)
+                assert x.shape[0] * x.shape[1] * per_pixel <= budget \
+                    or x.shape[:2] == (1, 1)
+            split += any(1 < len(x) < alloc.groups for _, _, x in blocks)
+            pixel_split += splits > 1
+            inputs = np.empty((alloc.groups, pixels, alloc.rows), np.int64)
+            for g, p, x in blocks:
+                inputs[g:g + len(x), p:p + x.shape[1]] = x
+            assert len(stream.jobs) == pixels * alloc.groups
             for i, job in enumerate(stream.jobs):
                 g, p = divmod(i, pixels)
                 assert job.region_id == g
@@ -180,8 +191,10 @@ class TestJobStream:
                     np.zeros(s.length, dtype=np.int64) if s.zero_fill
                     else np.arange(s.offset + 1, s.offset + s.length + 1)
                     for s in job.segments])
-                assert np.array_equal(regions[g][p], expect), (layer, i)
-        assert split > 0  # some stacks of several regions split a layer
+                assert np.array_equal(inputs[g, p], expect), (layer, i)
+        # some blocks of several regions split a layer, and some regions
+        # are split into pixel ranges
+        assert split > 0 and pixel_split > 0
 
     def test_gather_rejects_a_misshaped_input(self):
         stream = mapper.job_stream(DepthwiseConv(k=3, c=4, pad=1),

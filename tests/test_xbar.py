@@ -274,7 +274,9 @@ def test_noisy_mvm_draws_follow_the_seed():
     arr = _array(noise_sigma=0.5, program_sigma=0.3, seed=8)
     rng = np.random.default_rng(8)
     program_noise = np.zeros((12, 6))
-    program_noise[:, :5] = rng.normal(0.0, 0.3, size=(12, 5))
+    program_noise[:, :5] = np.round(rng.normal(0.0, 0.3, size=(12, 5))
+                                    * 2**24) / 2**24  # fixed point
+    assert np.array_equal(arr._program_noise, program_noise)
     x = np.random.default_rng(23).integers(0, 256, size=(4, 12))
     adc = AdcConfig(0.02)
     for row, y in zip(x, arr.mvm(x.astype(np.uint8), adc)):
@@ -405,6 +407,61 @@ def test_worst_case_accumulation_is_exact(weight):
     assert np.all(exact[:8] == rows * INPUT_MAX * weight)
     assert np.array_equal(adc.acc.astype(np.int64), exact)
     assert np.array_equal(adc.acc, exact.astype(np.float64))
+
+
+def test_programming_noise_rides_in_the_exact_product():
+    # with programming noise and no read noise, the sums of a stack of two
+    # arrays equal sum_r x_r * (W_rc * 2**24 + P_rc * 2**24) / 2**24 on
+    # Python integers: the noise sits on the 2**-24 grid and the float64
+    # product is exact; rows below a partial region hold neither
+    rng = np.random.default_rng(35)
+    unit = 2**24
+    for i in range(40):
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        sigma = float(rng.choice([0.01, 0.5, 3.0, 40.0]))
+        top = int(rng.integers(0, rows))
+        arrays = []
+        for j in range(2):
+            arr = ProgrammedArray(rows, cols, program_sigma=sigma,
+                                  seed=2 * i + j)
+            arrays.append(arr.program(
+                Region(top, 0, rows - top, cols),
+                rng.integers(WEIGHT_MIN, WEIGHT_MAX + 1,
+                             size=(rows - top, cols))))
+        x = rng.integers(0, INPUT_MAX + 1, size=(2, int(rng.integers(1, 6)),
+                                                 rows))
+        got = accumulate_stack(arrays, x.astype(np.uint8))
+        for arr, xs, sums in zip(arrays, x, got):
+            scaled = arr._program_noise * unit
+            assert np.array_equal(scaled, np.round(scaled))
+            cells = [[int(arr.weights[r, c]) * unit + int(scaled[r, c])
+                      for c in range(cols)] for r in range(rows)]
+            want = [[sum(int(v[r]) * cells[r][c] for r in range(rows)) / unit
+                     for c in range(cols)] for v in xs]
+            assert sums.tolist() == want, (i, rows, cols, sigma)
+            assert np.array_equal(arr.accumulate(xs), sums)
+
+
+def test_programming_noise_past_the_exact_range_is_rejected():
+    # an array whose column sums could reach 2**29, rows * 255 * (8 +
+    # max|P|), is refused before any cell is written
+    outcomes = set()
+    for sigma in (100.0, 500.0, 1000.0, 1e4):
+        draw = np.random.default_rng(3).normal(0.0, sigma, size=(1000, 2))
+        peak = np.abs(np.round(draw * 2**24) / 2**24).max()
+        arr = ProgrammedArray(1000, 2, program_sigma=sigma, seed=3)
+        program = lambda: arr.program(Region(0, 0, 1000, 2),
+                                      np.zeros((1000, 2), dtype=int))
+        rejected = 1000 * INPUT_MAX * (8 + peak) >= 2**29
+        outcomes.add(rejected)
+        if rejected:
+            with pytest.raises(ValueError, match="exact sum range"):
+                program()
+            assert not arr.mask.any()
+        else:
+            program()
+            assert arr.mask.all()
+    assert outcomes == {False, True}
 
 
 def requantize_oracle(adc: AdcConfig, acc: np.ndarray) -> np.ndarray:
