@@ -29,8 +29,8 @@ generator skips them, so they cost no memory traffic and no port cycles,
 but they still occupy DAC rows. Stream traffic therefore depends only on
 layer geometry, and `stream_geometry` gives it in closed form: with T the
 in-bounds taps summed over output pixels (the product of the per-axis
-sums) and P the output pixel count, group g fetches T slices of real_g
-bytes and writes P slices of out_g bytes, in P jobs per group. Along an
+sums) and P the output pixel count, a layer fetches T * c_in bytes in
+group slices and writes P * c_out bytes, in P jobs per group. Along an
 axis of `size` inputs, tap t of output o reads input o*stride - pad + t,
 in bounds for o from ceil((pad - t) / stride) to
 floor((size - 1 + pad - t) / stride), clipped to [0, out_size); each
@@ -307,16 +307,15 @@ def _receptive_segments(in_shape: TensorShape, oy: int, ox: int,
 
 
 def _enumerate_jobs(stream: JobStream) -> Iterator[Job]:
-    """Jobs group-major; group g reads and writes the g-th slices of
-    `_group_slices`."""
+    """Jobs group-major; group g reads and writes channels g * width on, of
+    which min(width, c - g * width) are real."""
     layer, in_shape, out = stream.layer, stream.in_shape, stream.out_shape
     k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
-    c_job = stream.strategy.c_job
-    width_in = c_job or in_shape.channels
-    width_out = c_job or out.channels
-    slices = zip(_group_slices(in_shape.channels, width_in),
-                 _group_slices(out.channels, width_out))
-    for g, (real, out_len) in enumerate(slices):
+    width_in = stream.strategy.c_job or in_shape.channels
+    width_out = stream.strategy.c_job or out.channels
+    for g in range(-(-in_shape.channels // width_in)):
+        real = min(width_in, in_shape.channels - g * width_in)
+        out_len = min(width_out, out.channels - g * width_out)
         pad_len = width_in - real
         for oy in range(out.height):
             for ox in range(out.width):
@@ -331,37 +330,33 @@ def _enumerate_jobs(stream: JobStream) -> Iterator[Job]:
                           + g * width_out, out_len, g)
 
 
-def _group_slices(channels: int, width: int) -> tuple[int, ...]:
-    """Channels of each group of `width`, the last one possibly partial."""
-    full, tail = divmod(channels, width)
-    return (width,) * full + ((tail,) if tail else ())
-
-
 @dataclass(frozen=True, slots=True)
 class StreamGeometry:
     """Closed-form stream traffic of one layer, equal to its `job_stream`.
 
     Every in-bounds tap of every output pixel fetches one slice per channel
-    group, and every output pixel writes one slice per group; zero-fill
-    taps and channel pads move nothing.
+    group, and every output pixel writes one slice per group, the last
+    group possibly partial; zero-fill taps and channel pads move nothing.
     """
 
-    taps: int                     # T: in-bounds taps summed over output pixels
-    pixels: int                   # P: output pixels
-    slices_in: tuple[int, ...]    # real_g: bytes fetched per tap, per group
-    slices_out: tuple[int, ...]   # out_g: bytes written per pixel, per group
+    taps: int       # T: in-bounds taps summed over output pixels
+    pixels: int     # P: output pixels
+    c_in: int       # input channels, all fetched at every in-bounds tap
+    c_out: int      # output channels, all written at every output pixel
+    width_in: int   # input channels per group: c_job, or c_in when dense
+    width_out: int  # output channels per group: c_job, or c_out when dense
 
     @property
     def jobs(self) -> int:
-        return self.pixels * len(self.slices_in)
+        return self.pixels * -(-self.c_in // self.width_in)
 
     @property
     def bytes_in(self) -> int:
-        return self.taps * sum(self.slices_in)
+        return self.taps * self.c_in
 
     @property
     def bytes_out(self) -> int:
-        return self.pixels * sum(self.slices_out)
+        return self.pixels * self.c_out
 
 
 def stream_geometry(layer: LayerDescriptor, in_shape: TensorShape,
@@ -369,10 +364,9 @@ def stream_geometry(layer: LayerDescriptor, in_shape: TensorShape,
     """Stream traffic of a layer from its geometry, without enumerating jobs.
 
     Accepts and rejects exactly the arguments `job_stream` and `map_layer`
-    do. Group g has real_g = min(width, c_in - g * width) input and out_g
-    output channels, with width c_job (depthwise) or the channel count
-    (dense: one group, c_in in and c_out out). The taps T are the product
-    of the per-axis sums of `_axis_taps`.
+    do. The group width is c_job (depthwise) or the channel count (dense:
+    one group, c_in in and c_out out). The taps T are the product of the
+    per-axis sums of `_axis_taps`.
     """
     _check_strategy(layer, strategy)
     out = output_shape(layer, in_shape)
@@ -380,9 +374,8 @@ def stream_geometry(layer: LayerDescriptor, in_shape: TensorShape,
     taps = (_axis_taps(in_shape.height, out.height, k, stride, pad)
             * _axis_taps(in_shape.width, out.width, k, stride, pad))
     c_in, c_out = in_shape.channels, out.channels
-    return StreamGeometry(taps, out.height * out.width,
-                          _group_slices(c_in, strategy.c_job or c_in),
-                          _group_slices(c_out, strategy.c_job or c_out))
+    return StreamGeometry(taps, out.height * out.width, c_in, c_out,
+                          strategy.c_job or c_in, strategy.c_job or c_out)
 
 
 def stream_bytes(stream: JobStream) -> tuple[int, int]:

@@ -9,12 +9,13 @@ An accelerator job runs three strictly sequential phases:
 
 Every real segment of a layer is one channel-group slice, so the totals
 have a closed form in the geometry of `mapper.stream_geometry`: with T the
-in-bounds taps summed over output pixels, P the output pixels and real_g /
-out_g the per-group slices,
+in-bounds taps summed over output pixels, P the output pixels and
+beats(c, width, b) = full * ceil(width / b) + ceil(tail / b) for c
+channels in groups of width, full, tail = divmod(c, width),
 
-  stream-in   T * sum_g ceil(real_g / (4 * n_load))
-  stream-out  P * sum_g ceil(out_g / (4 * n_store))
-  jobs        P * groups
+  stream-in   T * beats(c_in, width_in, 4 * n_load)
+  stream-out  P * beats(c_out, width_out, 4 * n_store)
+  jobs        P * ceil(c_in / width_in)
 
 The cycle model uses only this form; enumerated job streams exist for
 functional emulation and as the test oracle.
@@ -177,13 +178,19 @@ def _geometry_phases(geo: mapper.StreamGeometry, ports: PortConfig,
     """The closed-form phase fold of `layer_cycles_ima` over a layer's
     stream geometry."""
     n_jobs = geo.jobs
-    beat_in = PORT_WIDTH_BYTES * ports.n_load
-    beat_out = PORT_WIDTH_BYTES * ports.n_store
-    si = geo.taps * sum(_ceil_div(r, beat_in) for r in geo.slices_in)
-    so = geo.pixels * sum(_ceil_div(o, beat_out) for o in geo.slices_out)
+    si = geo.taps * _beats(geo.c_in, geo.width_in,
+                           PORT_WIDTH_BYTES * ports.n_load)
+    so = geo.pixels * _beats(geo.c_out, geo.width_out,
+                             PORT_WIDTH_BYTES * ports.n_store)
     comp = n_jobs * array_op_cycles(ima.t_array_ns, cluster.f_hz)
     cfg = ima.cfg_overhead_cycles + n_jobs * ima.job_handshake_cycles
     return PhaseBreakdown(streamin=si, compute=comp, streamout=so, config=cfg)
+
+
+def _beats(channels: int, width: int, beat: int) -> int:
+    """Beats of one slice per group of `channels` split by `width`: O(1)."""
+    full, tail = divmod(channels, width)
+    return full * _ceil_div(width, beat) + _ceil_div(tail, beat)
 
 
 def stream_cycles_ima(stream: JobStream, ports: PortConfig,

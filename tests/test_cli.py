@@ -412,6 +412,39 @@ def test_text_report_is_byte_identical(capsys, plan):
         SIMULATE_TEXT_SHA256[plan]
 
 
+# bottlenecks too wide for any per-channel-group structure: the sweep CSV's
+# sha256 and the last line of `simulate --plan ima8`, printed as the model
+# gives them (the arrays are assumed sized to fit, so nothing is clamped)
+HUGE_CHANNELS = {
+    "c_in_1e12": (
+        {"c_in": 10 ** 12, "expansion": 1},
+        "9faae98801508e5b19de24fc0fb3c9ab898685c7c01aabd47cbdb1fc95b335ab",
+        "gops: 5.44   tops/w: 1.008   gops/mm2: 0.00 (pcm), 0.00 (pcm+cluster)"),
+    "expansion_2_63": (
+        {"expansion": 2 ** 63},
+        "6c94bf95ab9e5078c229051dcf31ad1e91972d4140795c4cacd53a1239c5bdc4",
+        "gops: 9.53   tops/w: 1.767   gops/mm2: 0.00 (pcm), 0.00 (pcm+cluster)"),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_CHANNELS))
+def test_huge_channel_counts_run_to_completion(capsys, tmp_path, case):
+    changes, csv_sha256, last_line = HUGE_CHANNELS[case]
+    d = wl.bottleneck_to_dict(wl.default_bottleneck())
+    d.update(changes)
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(d))
+    csv_path = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--workload-file", str(path),
+                       "--out", str(csv_path))
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha256
+    code, out, err = run(capsys, "simulate", "--plan", "ima8",
+                         "--workload-file", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == last_line
+
+
 def _network(**changes):
     d = wl.network_to_dict(wl.mobilenet_v2_preset())
     d.update(changes)

@@ -317,6 +317,98 @@ def test_closed_form_matches_enumerated_job_stream(cal, kind):
                                             cal.cluster) == want
 
 
+# --- closed form vs the per-group sum it replaced -------------------------------
+
+def group_slices(channels: int, width: int) -> tuple[int, ...]:
+    """Oracle: channels of each group of `width`, the last one possibly
+    partial."""
+    full, tail = divmod(channels, width)
+    return (width,) * full + ((tail,) if tail else ())
+
+
+def per_group_phases(geo, ports, ima, cluster) -> PhaseBreakdown:
+    """Oracle: sum each group's slice ceilings, one group at a time."""
+    slices_in = group_slices(geo.c_in, geo.width_in)
+    slices_out = group_slices(geo.c_out, geo.width_out)
+    beat_in = timing.PORT_WIDTH_BYTES * ports.n_load
+    beat_out = timing.PORT_WIDTH_BYTES * ports.n_store
+    n_jobs = geo.pixels * len(slices_in)
+    return PhaseBreakdown(
+        streamin=geo.taps * sum(-(-r // beat_in) for r in slices_in),
+        compute=n_jobs * array_op_cycles(ima.t_array_ns, cluster.f_hz),
+        streamout=geo.pixels * sum(-(-o // beat_out) for o in slices_out),
+        config=ima.cfg_overhead_cycles + n_jobs * ima.job_handshake_cycles)
+
+
+def wide_geometry(rng: np.random.Generator, kind: str):
+    """(layer, strategy, in_shape) of up to 10**4 channels on a small
+    feature map; a depthwise c_job rarely divides c, so tails are partial."""
+    k = int(rng.choice([1, 3, 5]))
+    stride, pad = int(rng.integers(1, 3)), k // 2
+    c = int(rng.integers(1, 10_001))
+    if kind == "depthwise":
+        layer = DepthwiseConv(k=k, c=c, stride=stride, pad=pad)
+        strategy = MappingStrategy(int(rng.integers(1, min(c, 64) + 1)))
+    elif k == 1:
+        layer = PointwiseConv(c, int(rng.integers(1, 10_001)))
+        strategy = mapper.STANDARD_IM2COL
+    else:
+        layer = StandardConv(k=k, c_in=c, c_out=int(rng.integers(1, 10_001)),
+                             stride=stride, pad=pad)
+        strategy = mapper.STANDARD_IM2COL
+    size = int(rng.integers(k, k + 6))
+    return layer, strategy, TensorShape(size, size, c)
+
+
+@pytest.mark.parametrize("kind", ["dense", "depthwise"])
+def test_closed_form_matches_per_group_sum(cal, kind):
+    rng = np.random.default_rng(["dense", "depthwise"].index(kind) + 20)
+    port_pairs = [PortConfig(a, b) for a in PORT_CHOICES for b in PORT_CHOICES]
+    tails = 0
+    for _ in range(60):
+        layer, strategy, shape = wide_geometry(rng, kind)
+        geo = mapper.stream_geometry(layer, shape, strategy)
+        case = f"{layer} {strategy} on {shape}"
+        slices_in = group_slices(geo.c_in, geo.width_in)
+        tails += slices_in[-1] != geo.width_in
+        # the stream and the allocation agree on the layer's groups
+        assert geo.jobs // geo.pixels == len(slices_in) \
+            == mapper.map_layer(layer, strategy).groups, case
+        assert geo.bytes_in == geo.taps * sum(slices_in), case
+        assert geo.bytes_out == geo.pixels * sum(
+            group_slices(geo.c_out, geo.width_out)), case
+        for ports in port_pairs:
+            assert timing.layer_cycles_ima(layer, strategy, shape, ports,
+                                           cal.ima, cal.cluster) \
+                == per_group_phases(geo, ports, cal.ima, cal.cluster), \
+                f"{case} at {ports}"
+    if kind == "depthwise":
+        assert tails > 30  # most cases end in a partial group
+
+
+def test_fold_is_constant_in_the_group_count(cal):
+    # a per-group structure could neither be built nor folded at 2**63
+    groups = 2 ** 63
+    layer = DepthwiseConv(k=3, c=groups, stride=1, pad=1)
+    shape = TensorShape(4, 4, groups)
+    strategy = MappingStrategy(1)
+    geo = mapper.stream_geometry(layer, shape, strategy)
+    assert {f.type for f in dataclasses.fields(mapper.StreamGeometry)} \
+        == {"int"}
+    assert all(type(getattr(geo, f.name)) is int
+               for f in dataclasses.fields(geo))
+    alloc = mapper.map_layer(layer, strategy)
+    assert alloc.groups == geo.jobs // geo.pixels == groups
+    row = timing.Placement("l0.depthwise", layer, shape,
+                           output_shape(layer, shape), macs(layer, shape),
+                           geo, alloc, residual=False)
+    result = timing.fold_schedule((row,), PortConfig(4, 4), cal.ima,
+                                  cal.cluster)
+    assert result.ima_jobs == 16 * groups
+    assert result.bytes_streamed_in == geo.taps * groups
+    assert result.totals.streamin == geo.taps * groups  # 1 beat a 1-byte slice
+
+
 def test_schedule_builds_no_job_streams(cal, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the cycle model enumerated a job stream")
