@@ -107,14 +107,21 @@ def _load_bottleneck(args) -> workload.BottleneckDescriptor:
 _CAL_NOTE = "calibration constants are fitted to endpoint metrics, not measured"
 
 
+# least width of each phase table column, by header
+_PHASE_WIDTHS = {"layer": 16, "streamin": 10, "compute": 10, "streamout": 11,
+                 "config": 8, "sw": 10, "marshal": 9, "total": 10}
+
+
 def _phase_table(layers) -> list[str]:
-    header = f"{'layer':<16}{'streamin':>10}{'compute':>10}{'streamout':>11}" \
-             f"{'config':>8}{'sw':>10}{'marshal':>9}{'total':>10}"
-    lines = [header]
-    for name, p in layers:
-        lines.append(f"{name:<16}{p.streamin:>10}{p.compute:>10}{p.streamout:>11}"
-                     f"{p.config:>8}{p.sw:>10}{p.marshal:>9}{p.total:>10}")
-    return lines
+    """Header and one line per (name, phases); a column is wider than its
+    longest value, so values never run into one another."""
+    heads = list(_PHASE_WIDTHS)
+    cells = [heads] + [[name] + [str(getattr(p, h)) for h in heads[1:]]
+                       for name, p in layers]
+    widths = [max(w, 1 + max(len(r[i]) for r in cells))
+              for i, w in enumerate(_PHASE_WIDTHS.values())]
+    return [r[0].ljust(widths[0]) + "".join(map(str.rjust, r[1:], widths[1:]))
+            for r in cells]
 
 
 def cmd_simulate(args) -> int:
@@ -130,8 +137,8 @@ def cmd_simulate(args) -> int:
     try:
         schedule = timing.fold_schedule(rows, ports, cal.ima, cal.cluster)
         rep = metrics.report(schedule, allocations, cal.area, cal.energy)
-    except ValueError as e:
-        raise ValidationError(f"bad calibration: {e}") from None
+    except ValueError as e:  # the message names the operand at fault
+        raise ValidationError(str(e)) from None
     if args.format == "json":
         payload = {
             "schema_version": 1,
@@ -174,8 +181,8 @@ def cmd_sweep(args) -> int:
     spec = dse.SweepSpec(workload=b, calibration=cal)
     try:
         rows = dse.run_sweep(spec)
-    except ValueError as e:
-        raise ValidationError(f"bad calibration: {e}") from None
+    except ValueError as e:  # the message names the operand at fault
+        raise ValidationError(str(e)) from None
     out = args.out or f"sweep.{args.format}"
     dse.emit(rows, out, args.format)
     best = dse.best_by(rows, "gops")

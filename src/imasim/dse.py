@@ -1,8 +1,9 @@
 """Design-space sweep driver: {port configs} x {execution plans} -> table.
 
-Every sweep point is evaluated independently from immutable inputs and the
-rows are emitted in a fixed order (plan-major, ports-minor), so repeated
-runs of the same spec produce byte-identical output.
+Every sweep point is evaluated from immutable inputs, one fold of a plan's
+table giving all its port configs, and the rows are emitted in a fixed
+order (plan-major, ports-minor), so repeated runs of the same spec produce
+byte-identical output.
 
 CSV schema (header row, '.' decimal separator, no locale):
   plan, n_load, n_store, cycles_total, cycles_streamin, cycles_compute,
@@ -19,7 +20,7 @@ import io
 import json
 from dataclasses import dataclass, fields
 
-from . import metrics, timing
+from . import mapper, metrics, timing
 from .calibration import Calibration
 from .timing import Plan, PortConfig
 from .workload import BottleneckDescriptor
@@ -53,15 +54,15 @@ class SweepRow:
 COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def evaluate_point(rows: tuple[timing.Placement, ...], plan: Plan,
-                   ports: PortConfig, cal: Calibration) -> SweepRow:
-    """One sweep point: the fold of a plan's placement table at `ports`."""
-    schedule = timing.fold_schedule(rows, ports, cal.ima, cal.cluster)
-    rep = metrics.report(schedule, timing.table_allocations(rows), cal.area,
-                         cal.energy)
+def evaluate_point(schedule: timing.ScheduleResult,
+                   allocations: list[mapper.CrossbarAllocation], plan: Plan,
+                   cal: Calibration) -> SweepRow:
+    """One sweep point: a plan's schedule at one port config and its metrics."""
+    rep = metrics.report(schedule, allocations, cal.area, cal.energy)
     t = schedule.totals
     return SweepRow(
-        plan=plan.value, n_load=ports.n_load, n_store=ports.n_store,
+        plan=plan.value, n_load=schedule.ports.n_load,
+        n_store=schedule.ports.n_store,
         cycles_total=t.total, cycles_streamin=t.streamin,
         cycles_compute=t.compute, cycles_streamout=t.streamout,
         cycles_sw=t.sw, cycles_marshal=t.marshal,
@@ -72,12 +73,14 @@ def evaluate_point(rows: tuple[timing.Placement, ...], plan: Plan,
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate Plan x DEFAULT_PORTS, plan-major with plans in definition
-    order. Each plan's placement table is built once and folded per port
-    config."""
+    order. Each plan's placement table is built once and folded once for
+    all port configs."""
+    cal = spec.calibration
     tables = {plan: timing.placements(spec.workload, plan) for plan in Plan}
-    return [evaluate_point(tables[plan], plan, ports, spec.calibration)
-            for plan in Plan
-            for ports in DEFAULT_PORTS]
+    return [evaluate_point(schedule, timing.table_allocations(table), plan, cal)
+            for plan, table in tables.items()
+            for schedule in timing.fold_schedules(table, DEFAULT_PORTS,
+                                                  cal.ima, cal.cluster)]
 
 
 def best_by(rows: list[SweepRow], metric: str) -> SweepRow:
@@ -103,18 +106,12 @@ def rows_to_dicts(rows: list[SweepRow]) -> list[dict]:
     return [{c: getattr(r, c) for c in COLUMNS} for r in rows]
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
 def render_csv(rows: list[SweepRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
     for row in rows:
-        writer.writerow([_format_cell(getattr(row, c)) for c in COLUMNS])
+        writer.writerow([getattr(row, c) for c in COLUMNS])
     return buf.getvalue()
 
 

@@ -24,6 +24,7 @@ Throughput convention: 1 MAC = 2 OPs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 from typing import Iterable
 
@@ -106,8 +107,12 @@ def report(schedule: ScheduleResult,
     ops = 2 * schedule.macs
     try:
         gops = ops * schedule.f_hz / (schedule.total_cycles * 1e9)
-    except OverflowError:  # the int product is too large for a float
-        raise ValueError("throughput is not finite: cluster.f_hz leaves the "
+    except OverflowError:  # an int operand is too large for a float
+        operand = ("the workload's cycle count"
+                   if schedule.total_cycles > sys.float_info.max
+                   else "the workload's MAC count" if ops > sys.float_info.max
+                   else "the workload's OPs times cluster.f_hz")
+        raise ValueError(f"throughput is not finite: {operand} leaves the "
                          "float range") from None
     joules = energy(schedule, energy_model)
     tops_per_w = ops / joules / 1e12 if joules > 0 else 0.0

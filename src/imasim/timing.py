@@ -22,8 +22,10 @@ functional emulation and as the test oracle.
 
 A schedule folds a placement table: `placements(b, plan)` walks a block's
 layers once for their shapes, MACs and, on the accelerator, stream geometry
-and crossbar allocation; `fold_schedule` sums one port config's phases,
-bytes and jobs over those rows. A sweep builds one table per plan.
+and crossbar allocation. `fold_schedules` folds a table for many port
+configs in one integer pass: what the ports do not change (compute, config,
+core cycles, residual adds, MACs, bytes, jobs) is summed once, and each
+config adds only its stream beats. `fold_schedule` is its one-config call.
 
 Jobs of a layer run back-to-back with a small per-job trigger/handshake,
 and one configuration burst is charged per layer (multiple jobs pipeline
@@ -56,6 +58,7 @@ from .workload import (
     TensorShape,
     macs,
     output_shape,
+    params,
 )
 from . import mapper
 from .mapper import JobStream, MappingStrategy
@@ -139,15 +142,6 @@ class PhaseBreakdown:
         return (self.streamin + self.compute + self.streamout
                 + self.config + self.sw + self.marshal)
 
-    def __add__(self, other: "PhaseBreakdown") -> "PhaseBreakdown":
-        return PhaseBreakdown(
-            self.streamin + other.streamin,
-            self.compute + other.compute,
-            self.streamout + other.streamout,
-            self.config + other.config,
-            self.sw + other.sw,
-            self.marshal + other.marshal)
-
 
 class Plan(Enum):
     SW = "sw"           # everything on the cores
@@ -168,23 +162,13 @@ def array_op_cycles(t_array_ns: float, f_hz: int) -> int:
 def layer_cycles_ima(layer: LayerDescriptor, strategy: MappingStrategy,
                      in_shape: TensorShape, ports: PortConfig,
                      ima: ImaTiming, cluster: ClusterConfig) -> PhaseBreakdown:
-    """Accelerator phase breakdown of one full layer, from its geometry."""
-    return _geometry_phases(mapper.stream_geometry(layer, in_shape, strategy),
-                            ports, ima, cluster)
-
-
-def _geometry_phases(geo: mapper.StreamGeometry, ports: PortConfig,
-                     ima: ImaTiming, cluster: ClusterConfig) -> PhaseBreakdown:
-    """The closed-form phase fold of `layer_cycles_ima` over a layer's
-    stream geometry."""
-    n_jobs = geo.jobs
-    si = geo.taps * _beats(geo.c_in, geo.width_in,
-                           PORT_WIDTH_BYTES * ports.n_load)
-    so = geo.pixels * _beats(geo.c_out, geo.width_out,
-                             PORT_WIDTH_BYTES * ports.n_store)
-    comp = n_jobs * array_op_cycles(ima.t_array_ns, cluster.f_hz)
-    cfg = ima.cfg_overhead_cycles + n_jobs * ima.job_handshake_cycles
-    return PhaseBreakdown(streamin=si, compute=comp, streamout=so, config=cfg)
+    """Accelerator phase breakdown of one full layer: the fold of its
+    one-row placement table, which reads only its stream geometry."""
+    row = Placement("", layer, in_shape, output_shape(layer, in_shape),
+                    macs(layer, in_shape),
+                    mapper.stream_geometry(layer, in_shape, strategy), None,
+                    residual=False)
+    return fold_schedule((row,), ports, ima, cluster).totals
 
 
 def _beats(channels: int, width: int, beat: int) -> int:
@@ -293,8 +277,9 @@ def placements(b: BottleneckDescriptor, plan: Plan) -> tuple[Placement, ...]:
         if strategy is not None:
             geo = mapper.stream_geometry(layer, shape, strategy)
             alloc = mapper.map_layer(layer, strategy)
+        n_macs = out.height * out.width * params(layer)  # macs(layer, shape)
         rows.append(Placement(f"l{i}.{_KIND_NAMES[type(layer)]}", layer,
-                              shape, out, macs(layer, shape), geo, alloc,
+                              shape, out, n_macs, geo, alloc,
                               b.residual and i == len(layers) - 1))
         shape = out
     return tuple(rows)
@@ -310,27 +295,57 @@ def plan_allocations(b: BottleneckDescriptor, plan: Plan) -> list[mapper.Crossba
     return table_allocations(placements(b, plan))
 
 
+def fold_schedules(rows: tuple[Placement, ...], ports: tuple[PortConfig, ...],
+                   ima: ImaTiming, cluster: ClusterConfig) -> list[ScheduleResult]:
+    """Sequential execution of a placement table at each port config: no
+    cross-layer overlap, and a residual add runs on the cores after its row.
+
+    One pass over the rows sums, in plain integers, everything the ports do
+    not change; each port config then adds only its accelerator rows'
+    stream beats."""
+    op_cycles = array_op_cycles(ima.t_array_ns, cluster.f_hz)
+    entries: list = []   # (name, phases); None marks an accelerator row
+    accel = []           # (entry index, name, geometry, compute, config)
+    comp = cfg = sw = marshal = n_macs = b_in = b_out = n_jobs = 0
+    for row in rows:
+        n_macs += row.macs
+        geo = row.geometry
+        if geo is None:
+            phases = _sw_phases(row.layer, row.in_shape, row.macs, cluster)
+            sw, marshal = sw + phases.sw, marshal + phases.marshal
+            entries.append((row.name, phases))
+        else:
+            jobs = geo.jobs
+            c = jobs * op_cycles
+            f = ima.cfg_overhead_cycles + jobs * ima.job_handshake_cycles
+            comp, cfg, n_jobs = comp + c, cfg + f, n_jobs + jobs
+            b_in, b_out = b_in + geo.bytes_in, b_out + geo.bytes_out
+            accel.append((len(entries), row.name, geo, c, f))
+            entries.append(None)
+        if row.residual:
+            add = residual_add_cycles(row.out_shape, cluster)
+            sw += add
+            entries.append(("residual", PhaseBreakdown(sw=add)))
+    results = []
+    for pc in ports:
+        beat_in = PORT_WIDTH_BYTES * pc.n_load
+        beat_out = PORT_WIDTH_BYTES * pc.n_store
+        layers, si, so = list(entries), 0, 0
+        for i, name, geo, c, f in accel:
+            s_in = geo.taps * _beats(geo.c_in, geo.width_in, beat_in)
+            s_out = geo.pixels * _beats(geo.c_out, geo.width_out, beat_out)
+            si, so = si + s_in, so + s_out
+            layers[i] = (name, PhaseBreakdown(s_in, c, s_out, f))
+        results.append(ScheduleResult(
+            pc, tuple(layers), PhaseBreakdown(si, comp, so, cfg, sw, marshal),
+            n_macs, b_in, b_out, n_jobs, cluster.f_hz))
+    return results
+
+
 def fold_schedule(rows: tuple[Placement, ...], ports: PortConfig,
                   ima: ImaTiming, cluster: ClusterConfig) -> ScheduleResult:
-    """Sequential execution of a placement table at one port config: no
-    cross-layer overlap, and a residual add runs on the cores after its row."""
-    entries: list[tuple[str, PhaseBreakdown]] = []
-    for row in rows:
-        if row.geometry is None:
-            phases = _sw_phases(row.layer, row.in_shape, row.macs, cluster)
-        else:
-            phases = _geometry_phases(row.geometry, ports, ima, cluster)
-        entries.append((row.name, phases))
-        if row.residual:
-            entries.append(("residual", PhaseBreakdown(
-                sw=residual_add_cycles(row.out_shape, cluster))))
-    geos = [row.geometry for row in rows if row.geometry is not None]
-    return ScheduleResult(ports=ports, layers=tuple(entries),
-                          totals=sum((p for _, p in entries), PhaseBreakdown()),
-                          macs=sum(row.macs for row in rows),
-                          bytes_streamed_in=sum(g.bytes_in for g in geos),
-                          bytes_streamed_out=sum(g.bytes_out for g in geos),
-                          ima_jobs=sum(g.jobs for g in geos), f_hz=cluster.f_hz)
+    """`fold_schedules` at one port config."""
+    return fold_schedules(rows, (ports,), ima, cluster)[0]
 
 
 def bottleneck_schedule(b: BottleneckDescriptor, plan: Plan, ports: PortConfig,

@@ -8,12 +8,16 @@ An `emulate` pass fails when emulation stops being bit-exact, its outputs
 turn degenerate, or seeded noise stops moving or repeating them.
 """
 
+import gc
 import json
 import sys
 import types
 from pathlib import Path
 
-from imasim import dse, mapper
+import numpy as np
+
+import imasim
+from imasim import dse, mapper, verify, xbar
 from imasim.calibration import default_calibration
 from imasim.workload import DepthwiseConv, TensorShape, default_bottleneck
 
@@ -82,6 +86,51 @@ def test_traced_sweep_names_each_point_by_plan():
     for plan in ("sw", "ima8", "ima16", "hybrid"):
         assert row[f"dse.evaluate_point.{plan}.calls"] == 5, plan
         assert len(row[f"dse.evaluate_point.{plan}.durations_s"]) == 5, plan
+
+
+def test_traced_emulator_hooks_count_cells():
+    """The `verify.program_allocation` hook tags each returned array with
+    its allocation's useful share, through a weak reference, and the
+    `ProgrammedArray.mvm` hook counts the cells an array drives; uninstall
+    puts back every attribute the tracer replaced."""
+    tracer_mod = _load_tracer()
+
+    def attributes():
+        owners = [getattr(imasim, name) for name in tracer_mod.MODULES]
+        owners += [getattr(getattr(imasim, module), cls)
+                   for module, cls, _ in tracer_mod.METHODS]
+        return {(owner.__name__, attr): value for owner in owners
+                for attr, value in vars(owner).items()}
+
+    before = attributes()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert attributes() != before
+        case = verify.random_case(np.random.default_rng(3))
+        assert verify.check_equivalence(*case).ok
+        layer, strategy, _, weights, adc = case
+        alloc = mapper.map_layer(layer, strategy)
+        arrays = verify.program_allocation(alloc, weights, noise_sigma=0.5)
+        arr = arrays[0]
+        arr.mvm(np.ones((3, arr.rows), dtype=np.uint8), xbar.AdcConfig())
+    finally:
+        tracer.uninstall()
+    assert attributes() == before
+    row = tracer.summary()[tracer_mod.SETUP_PASS]
+    assert row["verify.program_allocation.calls"] == 2
+    assert row["xbar.mvm.calls"] == 1
+    gc.collect()
+    # the arrays of the equivalence check are gone, these are still tagged
+    share = alloc.weights_useful / alloc.weights_total
+    assert 0 < share < 1  # a padded allocation, so the share shows
+    assert dict(tracer._useful) == {a: share for a in arrays}
+    counts = tracer.counts[tracer_mod.SETUP_PASS]
+    cells = arr.rows * arr.cols
+    assert counts["xbar.cells_driven"] == cells
+    assert counts["xbar.cells_attributed"] == cells
+    assert counts["xbar.useful_cells"] == cells * share
+    assert counts["xbar.mvm.noisy_calls"] == 1
 
 
 def test_emulate_pass_meets_its_gates():

@@ -445,6 +445,55 @@ def test_huge_channel_counts_run_to_completion(capsys, tmp_path, case):
     assert out.splitlines()[-1] == last_line
 
 
+def _bottleneck_file(tmp_path, **changes):
+    d = wl.bottleneck_to_dict(wl.default_bottleneck())
+    d.update(changes)
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def test_phase_table_widens_to_its_values(capsys, tmp_path):
+    # cycle counts of 15 and 16 digits, wider than every column's least width
+    path = _bottleneck_file(tmp_path, c_in=10 ** 12, expansion=1)
+    code, out, err = run(capsys, "simulate", "--plan", "ima8",
+                         "--workload-file", path)
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    table = lines[lines.index("") + 1:lines.index("", 3)]
+    assert table[0].split() == ["layer", "streamin", "compute", "streamout",
+                                "config", "sw", "marshal", "total"]
+    assert [row.split()[0] for row in table[1:]] \
+        == ["l0.depthwise", "l1.pointwise", "TOTAL"]
+    for row in table[1:]:
+        fields = row.split()
+        assert len(fields) == 8, row
+        *phases, total = map(int, fields[1:])
+        assert sum(phases) == total, row
+    assert table[1].split()[1:] == ["1104500000000000", "2304000000000000",
+                                    "128000000000000", "256000000000032",
+                                    "0", "0", "3792500000000032"]
+    # every column lines up: one width a column, on every line
+    assert len({len(row) for row in table}) == 1
+
+
+@pytest.mark.parametrize("c_in,plan,operand", [
+    (10 ** 1000, "ima8", "the workload's cycle count"),
+    (10 ** 304, "sw", "the workload's MAC count"),
+    (10 ** 300, "sw", "the workload's OPs times cluster.f_hz")])
+def test_throughput_overflow_names_its_operand(capsys, tmp_path, c_in, plan,
+                                               operand):
+    # under the shipped calibration: the workload leaves the float range
+    path = _bottleneck_file(tmp_path, c_in=c_in, expansion=1)
+    for argv in (["simulate", "--plan", plan, "--format", "json"],
+                 ["sweep", "--out", str(tmp_path / "sweep.csv")]):
+        code, out, err = run(capsys, *argv, "--workload-file", path)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: throughput is not finite: {operand} leaves " \
+                      "the float range\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def _network(**changes):
     d = wl.network_to_dict(wl.mobilenet_v2_preset())
     d.update(changes)

@@ -139,21 +139,27 @@ def test_sweep_maps_each_plan_once(cal, monkeypatch):
 
 def test_fold_rebuilds_no_shapes(cal, monkeypatch):
     """A fold reads each row's shapes and MACs from the placement table:
-    no `output_shape` call runs inside `timing.fold_schedule`, for software
-    rows included."""
+    no `output_shape` call runs inside `timing.fold_schedules`, for software
+    rows included. The table takes each layer's MACs from the output shape
+    it has just computed, so it computes that shape once."""
     from imasim import timing, workload
+    from imasim.timing import Plan
 
-    inside = {"fold": False, "output_shape": 0}
+    inside = {"fold": False, "output_shape": 0, "all": 0}
 
     def counted_shape(real):
         def counted(*args, **kwargs):
             inside["output_shape"] += inside["fold"]
+            inside["all"] += 1
             return real(*args, **kwargs)
         return counted
 
-    real_fold = timing.fold_schedule
+    real_fold = timing.fold_schedules
+    folds = 0
 
     def fold(*args, **kwargs):
+        nonlocal folds
+        folds += 1
         inside["fold"] = True
         try:
             return real_fold(*args, **kwargs)
@@ -162,7 +168,10 @@ def test_fold_rebuilds_no_shapes(cal, monkeypatch):
 
     for mod in (workload, timing):
         monkeypatch.setattr(mod, "output_shape", counted_shape(mod.output_shape))
-    monkeypatch.setattr(timing, "fold_schedule", fold)
+    monkeypatch.setattr(timing, "fold_schedules", fold)
     rows = dse.run_sweep(SweepSpec(workload=default_bottleneck(), calibration=cal))
     assert len(rows) == 20
+    assert folds == len(Plan)  # one fold a plan, for all its port configs
     assert inside["output_shape"] == 0
+    # `mapper.stream_geometry` reads its own reference, which is not counted
+    assert inside["all"] == 3 * len(Plan)

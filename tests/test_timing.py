@@ -1,9 +1,10 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from imasim import mapper, timing
+from imasim import calibration, dse, mapper, metrics, timing
 from imasim.mapper import MappingStrategy, Segment
 from imasim.timing import (
     PORT_CHOICES,
@@ -137,17 +138,18 @@ class TestSwLayers:
         assert phases.sw == 1
 
 
+def sum_phases(parts) -> PhaseBreakdown:
+    """Oracle: the field-by-field sum of phase breakdowns."""
+    parts = list(parts)
+    return PhaseBreakdown(*(sum(getattr(p, f.name) for p in parts)
+                            for f in dataclasses.fields(PhaseBreakdown)))
+
+
 class TestPhaseBreakdown:
     def test_total_is_sum_of_parts(self):
         p = PhaseBreakdown(streamin=1, compute=2, streamout=3, config=4,
                            sw=5, marshal=6)
         assert p.total == 21
-
-    def test_addition(self):
-        a = PhaseBreakdown(streamin=1, sw=2)
-        b = PhaseBreakdown(compute=3, marshal=4)
-        c = a + b
-        assert (c.streamin, c.compute, c.sw, c.marshal) == (1, 3, 2, 4)
 
 
 # frozen totals of the default bottleneck at 4/4 under shipped calibration
@@ -171,9 +173,7 @@ class TestBottleneckSchedule:
             sched = timing.bottleneck_schedule(default_bottleneck(), plan,
                                                PortConfig(2, 2), cal.ima,
                                                cal.cluster)
-            agg = PhaseBreakdown()
-            for _, phases in sched.layers:
-                agg = agg + phases
+            agg = sum_phases(phases for _, phases in sched.layers)
             assert dataclasses.asdict(agg) == dataclasses.asdict(sched.totals)
             assert sched.total_cycles == sched.totals.total
 
@@ -462,8 +462,8 @@ def oracle_schedule(b, plan, ports, ima, cluster):
             entries.append((name, timing.layer_cycles_sw(layer, shape, cluster)))
         else:
             geo = mapper.stream_geometry(layer, shape, strategy)
-            entries.append((name, timing.layer_cycles_ima(
-                layer, strategy, shape, ports, ima, cluster)))
+            # not `layer_cycles_ima`, which is the fold of a one-row table
+            entries.append((name, per_group_phases(geo, ports, ima, cluster)))
             bytes_in += geo.bytes_in
             bytes_out += geo.bytes_out
             n_jobs += geo.jobs
@@ -472,11 +472,9 @@ def oracle_schedule(b, plan, ports, ima, cluster):
     if b.residual:
         entries.append(("residual", PhaseBreakdown(
             sw=timing.residual_add_cycles(shape, cluster))))
-    totals = PhaseBreakdown()
-    for _, phases in entries:
-        totals = totals + phases
     return timing.ScheduleResult(ports=ports, layers=tuple(entries),
-                                 totals=totals, macs=total_macs,
+                                 totals=sum_phases(p for _, p in entries),
+                                 macs=total_macs,
                                  bytes_streamed_in=bytes_in,
                                  bytes_streamed_out=bytes_out,
                                  ima_jobs=n_jobs, f_hz=cluster.f_hz)
@@ -504,25 +502,85 @@ def random_bottleneck(rng: np.random.Generator) -> BottleneckDescriptor:
         height=int(rng.integers(1, 13)), width=int(rng.integers(1, 13)))
 
 
+def scaled_calibrations() -> list:
+    """The shipped calibration with one constant scaled by 0.9 or by 1.1,
+    for every constant where that stays valid; an integer constant moves
+    by the rounded step, and by at least 1."""
+    base = calibration.shipped()
+    cals = []
+    for section in calibration.SECTIONS:
+        for key, value in base[section].items():
+            for factor in (0.9, 1.1):
+                d = copy.deepcopy(base)
+                if type(value) is int:
+                    step = round(value * (factor - 1)) \
+                        or (1 if factor > 1 else -1)
+                    d[section][key] = value + step
+                else:
+                    d[section][key] = value * factor
+                try:
+                    cals.append(calibration.calibration_from_dict(d))
+                except ValueError:
+                    pass
+    return cals
+
+
+def oracle_sweep_rows(b, cal) -> list[dse.SweepRow]:
+    """Oracle: the sweep's rows built point by point from one-port folds."""
+    rows = []
+    for plan in Plan:
+        table = timing.placements(b, plan)
+        allocations = timing.table_allocations(table)
+        for ports in dse.DEFAULT_PORTS:
+            schedule = timing.fold_schedule(table, ports, cal.ima, cal.cluster)
+            rep = metrics.report(schedule, allocations, cal.area, cal.energy)
+            t = schedule.totals
+            rows.append(dse.SweepRow(
+                plan.value, ports.n_load, ports.n_store, t.total, t.streamin,
+                t.compute, t.streamout, t.sw, t.marshal, rep.gops,
+                rep.tops_per_w, rep.gops_per_mm2_pcm, rep.gops_per_mm2_full))
+    return rows
+
+
 def test_placement_table_matches_per_layer_walk(cal):
     rng = np.random.default_rng(11)
-    port_pairs = [PortConfig(1, 1), PortConfig(1, 16), PortConfig(4, 4),
-                  PortConfig(8, 2), PortConfig(16, 16)]
+    port_pairs = tuple(PortConfig(n_load, n_store) for n_load in PORT_CHOICES
+                       for n_store in PORT_CHOICES)
+    scaled = scaled_calibrations()
+    # every constant the fold reads is scaled in some calibration
+    timing_fields = [(section, f.name)
+                     for section in ("cluster", "ima")
+                     for f in dataclasses.fields(getattr(cal, section))]
+    assert {(s, k) for c in scaled for s, k in timing_fields
+            if getattr(getattr(c, s), k) != getattr(getattr(cal, s), k)} \
+        == set(timing_fields)
     kinds = set()
-    for _ in range(200):
+    for case in range(200):
         b = random_bottleneck(rng)
         kinds.add((b.expansion == 1, b.residual, b.stride))
+        cals = (cal, scaled[case % len(scaled)])
         for plan in Plan:
             assert timing.plan_allocations(b, plan) \
                 == oracle_allocations(b, plan), (b, plan)
             rows = timing.placements(b, plan)
-            for ports in port_pairs:
-                want = oracle_schedule(b, plan, ports, cal.ima, cal.cluster)
-                got = timing.fold_schedule(rows, ports, cal.ima, cal.cluster)
-                assert got == want, (b, plan, ports)
-            # the public entry point is the fold of a freshly built table
-            assert timing.bottleneck_schedule(b, plan, ports, cal.ima,
-                                              cal.cluster) == want, (b, plan)
+            for c in cals:
+                # all 25 port pairs in one fold
+                got = timing.fold_schedules(rows, port_pairs, c.ima, c.cluster)
+                assert len(got) == len(port_pairs)
+                for ports, result in zip(port_pairs, got):
+                    want = oracle_schedule(b, plan, ports, c.ima, c.cluster)
+                    for f in dataclasses.fields(want):
+                        assert getattr(result, f.name) \
+                            == getattr(want, f.name), (b, plan, ports, f.name)
+                    # the one-port call is the same fold
+                    assert timing.fold_schedule(rows, ports, c.ima,
+                                                c.cluster) == want
+                # the public entry point is the fold of a freshly built table
+                assert timing.bottleneck_schedule(b, plan, ports, c.ima,
+                                                  c.cluster) == want, (b, plan)
+        for c in cals:
+            assert dse.run_sweep(dse.SweepSpec(b, c)) \
+                == oracle_sweep_rows(b, c), (b, c)
     # every block shape the table distinguishes was drawn
     assert kinds == {(single, residual, stride) for single in (True, False)
                      for residual, stride in ((True, 1), (False, 1),
