@@ -13,9 +13,12 @@ as a block-diagonal pattern. The channels are split into groups of `c_job`
 channels per job; each group occupies a (k*k*c_job) x c_job region whose
 off-diagonal weights are structural zeros. A non-divisible tail group is
 padded up to c_job columns (rows likewise), which keeps per-job timing
-uniform; a dense layer is one group of all its channels. An allocation is
-its group geometry, groups x rows x cols with region g at (g*rows, g*cols),
-and every count derives from it. The crossbar cell count is
+uniform; a dense layer is one group of all its channels. `map_layer` is
+the one place that turns a strategy into groups: its allocation is the
+group geometry, groups x rows x cols with region g at (g*rows, g*cols)
+and `width` input channels a group, and the cycle model, the emulator's
+gather and the weight layout all read the groups from it. The crossbar
+cell count is
 
     weights_total = groups * rows * cols = k^2 * c * c_job   (c_job | c)
 
@@ -27,31 +30,31 @@ per job it fetches one contiguous slice per in-bounds receptive-field tap.
 Taps that fall in the zero-padding border are zero-fill: the address
 generator skips them, so they cost no memory traffic and no port cycles,
 but they still occupy DAC rows. Stream traffic therefore depends only on
-layer geometry, and `stream_geometry` gives it in closed form: with T the
-in-bounds taps summed over output pixels (the product of the per-axis
-sums) and P the output pixel count, a layer fetches T * c_in bytes in
-group slices and writes P * c_out bytes, in P jobs per group. Along an
-axis of `size` inputs, tap t of output o reads input o*stride - pad + t,
-in bounds for o from ceil((pad - t) / stride) to
-floor((size - 1 + pad - t) / stride), clipped to [0, out_size); each
-per-axis sum adds those k range lengths, so it costs O(k) and not
-O(out_size).
+layer geometry: with T the in-bounds taps summed over output pixels
+(`stream_taps`, the product of the per-axis sums) and P the output pixel
+count, a layer fetches T * c_in bytes in group slices and writes P * c_out
+bytes, in P jobs per group, whatever its groups. Along an axis of `size`
+inputs, tap t of output o reads input o*stride - pad + t, in bounds for o
+from ceil((pad - t) / stride) to floor((size - 1 + pad - t) / stride),
+clipped to [0, out_size); each per-axis sum adds those k range lengths,
+so it costs O(k) and not O(out_size).
 
 `job_stream` describes the same traffic for functional emulation in
 `verify`, where bytes are actually pushed through a crossbar; the cycle
-model never builds one. `gather_inputs` runs a stream's virtual im2col on
-an input tensor in blocks of regions x output pixels: per range of output
-pixels one (p, k^2) index of input pixels, shared by every region, and per
-block one numpy gather of whole pixel rows from a zero-bordered
-group-major copy of the input. A block fits the float64 budget
-`xbar._STACK_FLOATS`: consecutive regions that fit whole stack into one
-block, so a small layer is one block, and a region that does not fit is
-split into ranges of output pixels, so emulation memory does not grow
-with a layer's output pixels.
-`region_weight_matrix` builds every region's weight block in one
+model never builds one. A stream holds its layer's allocation.
+`gather_inputs` runs a stream's virtual im2col on an input tensor in
+blocks of regions x output pixels: per range of output pixels one
+(p, k^2) index of input pixels, shared by every region, and per block one
+numpy gather of whole pixel rows from a zero-bordered group-major copy of
+the input. A block fits the float64 budget `xbar._STACK_FLOATS`:
+consecutive regions that fit whole stack into one block, so a small layer
+is one block, and a region that does not fit is split into ranges of
+output pixels, so emulation memory does not grow with a layer's output
+pixels. `region_weight_matrix` builds every region's weight block in one
 vectorized write. `JobStream.jobs` enumerates the jobs as explicit
 (offset, length) segments, on first access only: it is the test oracle
-for `stream_geometry` and for the gathered inputs.
+for the stream traffic and for the gathered inputs, and derives its
+groups on its own.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from .workload import (
     params,
     weight_shape,
 )
-from .xbar import DEVICES_PER_WEIGHT, Region
+from .xbar import DEVICES_PER_WEIGHT
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,16 +107,6 @@ def default_strategy(layer: LayerDescriptor,
     return STANDARD_IM2COL
 
 
-def _check_strategy(layer: LayerDescriptor, strategy: MappingStrategy) -> None:
-    """Depthwise layers, and only they, take a c_job, of at most c."""
-    c_job = strategy.c_job
-    if isinstance(layer, DepthwiseConv) != (c_job is not None):
-        raise ValueError(f"{type(layer).__name__} cannot map with c_job="
-                         f"{c_job}: depthwise layers, and only they, take one")
-    if c_job is not None and c_job > layer.c:
-        raise ValueError(f"c_job must be in [1, {layer.c}], got {c_job}")
-
-
 @dataclass(frozen=True, slots=True)
 class CrossbarAllocation:
     """groups regions of rows x cols cells; region g at (g*rows, g*cols)."""
@@ -125,9 +118,8 @@ class CrossbarAllocation:
     cols: int
 
     @property
-    def regions(self) -> tuple[Region, ...]:
-        return tuple(Region(g * self.rows, g * self.cols, self.rows, self.cols)
-                     for g in range(self.groups))
+    def width(self) -> int:  # input channels a group: c_job, or c_in if dense
+        return self.rows // kernel_size(self.layer) ** 2
 
     @property
     def weights_total(self) -> int:  # cells claimed, incl. structural zeros
@@ -151,13 +143,20 @@ def map_layer(layer: LayerDescriptor,
     """Map a layer as channel groups of c_job channels or, dense, all of
     them. Group g is the region at (g*rows, g*cols) of k*k*width rows and
     c_job (dense: c_out) columns; a partial tail group is padded up to
-    c_job. The array is assumed sized to fit."""
-    _check_strategy(layer, strategy)
+    c_job. The array is assumed sized to fit.
+
+    Depthwise layers, and only they, take a c_job, of at most c."""
+    c_job = strategy.c_job
+    if isinstance(layer, DepthwiseConv) != (c_job is not None):
+        raise ValueError(f"{type(layer).__name__} cannot map with c_job="
+                         f"{c_job}: depthwise layers, and only they, take one")
+    if c_job is not None and c_job > layer.c:
+        raise ValueError(f"c_job must be in [1, {layer.c}], got {c_job}")
     c_in = in_channels(layer)
-    width = strategy.c_job or c_in
+    width = c_job or c_in
     return CrossbarAllocation(layer, strategy, groups=-(-c_in // width),
                               rows=kernel_size(layer) ** 2 * width,
-                              cols=strategy.c_job or out_channels(layer))
+                              cols=c_job or out_channels(layer))
 
 
 def map_depthwise(dw: DepthwiseConv, c_job: int) -> CrossbarAllocation:
@@ -195,8 +194,7 @@ class JobStream:
     builds the explicit job list on first access and keeps it.
     """
 
-    layer: LayerDescriptor
-    strategy: MappingStrategy
+    allocation: CrossbarAllocation  # the layer, its strategy and groups
     in_shape: TensorShape
     out_shape: TensorShape
 
@@ -215,12 +213,13 @@ class JobStream:
 
 def job_stream(layer: LayerDescriptor, in_shape: TensorShape,
                strategy: MappingStrategy) -> JobStream:
-    """The job stream of one layer, after checking the stream's inputs.
+    """The job stream of one layer on its `map_layer` allocation, which
+    checks the strategy.
 
     Building it enumerates nothing; see `JobStream.jobs`.
     """
-    _check_strategy(layer, strategy)
-    return JobStream(layer, strategy, in_shape, output_shape(layer, in_shape))
+    return JobStream(map_layer(layer, strategy), in_shape,
+                     output_shape(layer, in_shape))
 
 
 def gather_inputs(stream: JobStream,
@@ -233,9 +232,9 @@ def gather_inputs(stream: JobStream,
     Row p of region g is the concatenated segments of the region's job for
     output pixel p: the streamer's virtual im2col of `data`, the (h, w, c)
     input. The input is copied once into a group-major array of shape
-    (groups, (h + 2 pad) * (w + 2 pad), width), width being c_job or, for a
-    dense layer, c, whose zero border and zero channel tail of a partial
-    last group supply the zero-fill bytes. A (p, k^2) index of padded
+    (groups, (h + 2 pad) * (w + 2 pad), width), the allocation's groups and
+    width, whose zero border and zero channel tail of a partial last group
+    supply the zero-fill bytes. A (p, k^2) index of padded
     input pixels per pixel range, shared by every region, plays the
     address generator: output pixel (oy, ox) reads padded pixel
     (oy * stride + ky, ox * stride + kx) at tap (ky, kx). A block is then
@@ -248,18 +247,17 @@ def gather_inputs(stream: JobStream,
     whole; otherwise each region is split into the fewest pixel ranges
     that fit, of near-equal size.
     """
-    layer, in_shape, out = stream.layer, stream.in_shape, stream.out_shape
+    alloc, in_shape, out = stream.allocation, stream.in_shape, stream.out_shape
+    layer, rows = alloc.layer, alloc.rows
     k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
     h, w, c = in_shape.height, in_shape.width, in_shape.channels
     if np.shape(data) != (h, w, c):
         raise ValueError(f"input of shape {np.shape(data)}, stream expects "
                          f"{(h, w, c)}")
-    width = stream.strategy.c_job or c
-    packed = _group_major(np.asarray(data), width, pad)
+    packed = _group_major(np.asarray(data), alloc.groups, alloc.width, pad)
     wp = w + 2 * pad  # padded input width
     offsets = (np.arange(k)[:, None] * wp + np.arange(k)).ravel()
-    rows = k * k * width
-    per_pixel = max(rows, stream.strategy.c_job or out.channels)
+    per_pixel = max(rows, alloc.cols)
     total = out.height * out.width
     cap = max(1, xbar._STACK_FLOATS // per_pixel)
     pixels = -(-total // -(-total // cap))  # fewest near-equal blocks
@@ -267,27 +265,28 @@ def gather_inputs(stream: JobStream,
     for p in range(0, total, pixels):
         oy, ox = np.divmod(np.arange(p, min(p + pixels, total)), out.width)
         taps = ((oy * wp + ox) * stride)[:, None] + offsets
-        for g in range(0, len(packed), stack):
+        for g in range(0, alloc.groups, stack):
             x = np.take(packed[g:g + stack], taps, axis=1)
             yield g, p, x.reshape(len(x), len(taps), rows)
 
 
-def _group_major(data: np.ndarray, width: int, pad: int) -> np.ndarray:
+def _group_major(data: np.ndarray, groups: int, width: int,
+                 pad: int) -> np.ndarray:
     """(groups, (h + 2 pad) * (w + 2 pad), width) copy of (h, w, c) input
     `data`, group g holding channels g*width on, with a zero border `pad`
     pixels wide and zero channels past c. Filled in place: a
     channel-padded temporary copy cost the emulate benchmark about 1,400
     extra page faults a pass."""
     h, w, c = data.shape
-    full, tail = divmod(c, width)
-    packed = np.zeros((full + (tail > 0), h + 2 * pad, w + 2 * pad, width),
+    full = c // width  # whole groups; a partial last group holds the rest
+    packed = np.zeros((groups, h + 2 * pad, w + 2 * pad, width),
                       dtype=data.dtype)
     # (h, w, groups, width) view of the interior
     slabs = packed[:, pad:pad + h, pad:pad + w].transpose(1, 2, 0, 3)
     slabs[:, :, :full] = data[:, :, :full * width].reshape(h, w, full, width)
-    if tail:
-        slabs[:, :, full, :tail] = data[:, :, full * width:]
-    return packed.reshape(len(packed), -1, width)
+    if full < groups:
+        slabs[:, :, full, :c - full * width] = data[:, :, full * width:]
+    return packed.reshape(groups, -1, width)
 
 
 def _receptive_segments(in_shape: TensorShape, oy: int, ox: int,
@@ -309,10 +308,11 @@ def _receptive_segments(in_shape: TensorShape, oy: int, ox: int,
 def _enumerate_jobs(stream: JobStream) -> Iterator[Job]:
     """Jobs group-major; group g reads and writes channels g * width on, of
     which min(width, c - g * width) are real."""
-    layer, in_shape, out = stream.layer, stream.in_shape, stream.out_shape
+    alloc, in_shape, out = stream.allocation, stream.in_shape, stream.out_shape
+    layer, c_job = alloc.layer, alloc.strategy.c_job
     k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
-    width_in = stream.strategy.c_job or in_shape.channels
-    width_out = stream.strategy.c_job or out.channels
+    width_in = c_job or in_shape.channels
+    width_out = c_job or out.channels
     for g in range(-(-in_shape.channels // width_in)):
         real = min(width_in, in_shape.channels - g * width_in)
         out_len = min(width_out, out.channels - g * width_out)
@@ -330,63 +330,24 @@ def _enumerate_jobs(stream: JobStream) -> Iterator[Job]:
                           + g * width_out, out_len, g)
 
 
-@dataclass(frozen=True, slots=True)
-class StreamGeometry:
-    """Closed-form stream traffic of one layer, equal to its `job_stream`.
-
-    Every in-bounds tap of every output pixel fetches one slice per channel
-    group, and every output pixel writes one slice per group, the last
-    group possibly partial; zero-fill taps and channel pads move nothing.
-    """
-
-    taps: int       # T: in-bounds taps summed over output pixels
-    pixels: int     # P: output pixels
-    c_in: int       # input channels, all fetched at every in-bounds tap
-    c_out: int      # output channels, all written at every output pixel
-    width_in: int   # input channels per group: c_job, or c_in when dense
-    width_out: int  # output channels per group: c_job, or c_out when dense
-
-    @property
-    def jobs(self) -> int:
-        return self.pixels * -(-self.c_in // self.width_in)
-
-    @property
-    def bytes_in(self) -> int:
-        return self.taps * self.c_in
-
-    @property
-    def bytes_out(self) -> int:
-        return self.pixels * self.c_out
-
-
-def stream_geometry(layer: LayerDescriptor, in_shape: TensorShape,
-                    strategy: MappingStrategy) -> StreamGeometry:
-    """Stream traffic of a layer from its geometry, without enumerating jobs.
-
-    Accepts and rejects exactly the arguments `job_stream` and `map_layer`
-    do. The group width is c_job (depthwise) or the channel count (dense:
-    one group, c_in in and c_out out). The taps T are the product of the
-    per-axis sums of `_axis_taps`.
-    """
-    _check_strategy(layer, strategy)
+def stream_taps(layer: LayerDescriptor, in_shape: TensorShape) -> int:
+    """T, the in-bounds taps of a layer summed over its output pixels,
+    without enumerating jobs: the product of the per-axis sums of
+    `_axis_taps`. Every group fetches its slice at each of them."""
     out = output_shape(layer, in_shape)
     k, stride, pad = kernel_size(layer), layer_stride(layer), layer_pad(layer)
-    taps = (_axis_taps(in_shape.height, out.height, k, stride, pad)
+    return (_axis_taps(in_shape.height, out.height, k, stride, pad)
             * _axis_taps(in_shape.width, out.width, k, stride, pad))
-    c_in, c_out = in_shape.channels, out.channels
-    return StreamGeometry(taps, out.height * out.width, c_in, c_out,
-                          strategy.c_job or c_in, strategy.c_job or c_out)
 
 
 def stream_bytes(stream: JobStream) -> tuple[int, int]:
-    """(streamed-in, streamed-out) bytes of an enumerated stream.
-
-    Read from the stream's geometry, not by walking its jobs. Kept for
-    callers that already hold a stream; the benchmark's per-layer metrics
-    name this function.
+    """(streamed-in, streamed-out) bytes of a stream, T * c_in and P * c_out:
+    zero-fill taps and channel pads move nothing. Its jobs are not walked.
+    Kept for callers that already hold a stream; the benchmark's per-layer
+    metrics name this function.
     """
-    geo = stream_geometry(stream.layer, stream.in_shape, stream.strategy)
-    return geo.bytes_in, geo.bytes_out
+    return (stream_taps(stream.allocation.layer, stream.in_shape)
+            * stream.in_shape.channels, stream.out_shape.size_bytes)
 
 
 def _axis_taps(size: int, out_size: int, k: int, stride: int, pad: int) -> int:
@@ -406,12 +367,26 @@ def _axis_taps(size: int, out_size: int, k: int, stride: int, pad: int) -> int:
     return total
 
 
+# Larger allocations print one summary line; the default bottleneck's
+# widest table, its depthwise layer under ima8, has 24 regions.
+_LISTED_REGIONS = 24
+
+
 def format_allocation(alloc: CrossbarAllocation) -> str:
-    """Human-readable region table with cell counts and utilization."""
-    lines = [f"{'region':>7} {'row_off':>8} {'col_off':>8} {'rows':>6} {'cols':>6}"]
-    for i, r in enumerate(alloc.regions):
-        lines.append(f"{i:>7} {r.row_off:>8} {r.col_off:>8} "
-                     f"{r.rows:>6} {r.cols:>6}")
+    """Human-readable region table with cell counts and utilization.
+
+    Each row derives from its region index g. An allocation of more than
+    `_LISTED_REGIONS` regions prints one summary line in place of the
+    table, so the listing costs O(1) in the group count."""
+    groups, rows, cols = alloc.groups, alloc.rows, alloc.cols
+    if groups > _LISTED_REGIONS:
+        lines = [f"regions g < {groups} at (g*{rows}, g*{cols}), "
+                 f"{rows} x {cols} cells each"]
+    else:
+        lines = [f"{'region':>7} {'row_off':>8} {'col_off':>8} {'rows':>6} "
+                 f"{'cols':>6}"]
+        lines += [f"{g:>7} {g * rows:>8} {g * cols:>8} {rows:>6} {cols:>6}"
+                  for g in range(groups)]
     lines.append(f"cells: {alloc.weights_total} ({alloc.weights_useful} useful, "
                  f"utilization {utilization(alloc):.4f}), "
                  f"devices: {alloc.devices_total}, "
@@ -431,25 +406,23 @@ def region_weight_matrix(alloc: CrossbarAllocation, weights) -> np.ndarray:
     zeros elsewhere, a partial tail group's missing channels included. All
     blocks are written in one vectorized assignment.
     """
-    layer = alloc.layer
+    layer, groups, width = alloc.layer, alloc.groups, alloc.width
     w = np.asarray(weights, dtype=np.int64)
     expect = weight_shape(layer)
     if w.shape != expect:
         raise ValueError(f"weights must be {expect}, got {w.shape}")
     if not isinstance(layer, DepthwiseConv):
-        return w.reshape(1, -1, out_channels(layer))
-    # depthwise block-diagonal groups: diag[g, p, m] is tap p of group g's
-    # channel m, zero past the last real channel
-    c_job = alloc.strategy.c_job
-    taps = layer.k * layer.k
-    groups = alloc.groups
-    flat = np.zeros((taps, groups * c_job), dtype=np.int64)
+        return w.reshape(1, alloc.rows, alloc.cols)
+    # depthwise block-diagonal groups of width = cols channels: diag[g, p, m]
+    # is tap p of group g's channel m, zero past the last real channel
+    taps = alloc.rows // width
+    flat = np.zeros((taps, groups * width), dtype=np.int64)
     flat[:, :layer.c] = w.reshape(taps, layer.c)
-    diag = flat.reshape(taps, groups, c_job).transpose(1, 0, 2)
-    blocks = np.zeros((groups, taps, c_job, c_job), dtype=np.int64)
-    m = np.arange(c_job)
+    diag = flat.reshape(taps, groups, width).transpose(1, 0, 2)
+    blocks = np.zeros((groups, taps, width, width), dtype=np.int64)
+    m = np.arange(width)
     blocks[..., m, m] = diag
-    return blocks.reshape(groups, taps * c_job, c_job)
+    return blocks.reshape(groups, alloc.rows, alloc.cols)
 
 
 # --- network-wide device accounting ------------------------------------------

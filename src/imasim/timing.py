@@ -8,21 +8,22 @@ An accelerator job runs three strictly sequential phases:
   stream-out  ceil(output_bytes / (4 * n_store)) cycles
 
 Every real segment of a layer is one channel-group slice, so the totals
-have a closed form in the geometry of `mapper.stream_geometry`: with T the
-in-bounds taps summed over output pixels, P the output pixels and
-beats(c, width, b) = full * ceil(width / b) + ceil(tail / b) for c
-channels in groups of width, full, tail = divmod(c, width),
+have a closed form. T, the in-bounds taps summed over output pixels
+(`mapper.stream_taps`), and P, the output pixels, come from the shapes;
+the groups come from the crossbar allocation: `groups` of `width` input
+and `cols` output channels. With full, tail = divmod(c, width) and
+beats(c, width, b) = full * ceil(width / b) + ceil(tail / b),
 
-  stream-in   T * beats(c_in, width_in, 4 * n_load)
-  stream-out  P * beats(c_out, width_out, 4 * n_store)
-  jobs        P * ceil(c_in / width_in)
+  stream-in   T * beats(c_in, width, 4 * n_load)
+  stream-out  P * beats(c_out, cols, 4 * n_store)
+  jobs        P * groups
 
 The cycle model uses only this form; enumerated job streams exist for
 functional emulation and as the test oracle.
 
 A schedule folds a placement table: `placements(b, plan)` walks a block's
-layers once for their shapes, MACs and, on the accelerator, stream geometry
-and crossbar allocation. `fold_schedules` folds a table for many port
+layers once for their shapes, MACs and, on the accelerator, taps T and
+crossbar allocation. `fold_schedules` folds a table for many port
 configs in one integer pass: what the ports do not change (compute, config,
 core cycles, residual adds, MACs, bytes, jobs) is summed once, and each
 config adds only its stream beats. `fold_schedule` is its one-config call.
@@ -163,11 +164,10 @@ def layer_cycles_ima(layer: LayerDescriptor, strategy: MappingStrategy,
                      in_shape: TensorShape, ports: PortConfig,
                      ima: ImaTiming, cluster: ClusterConfig) -> PhaseBreakdown:
     """Accelerator phase breakdown of one full layer: the fold of its
-    one-row placement table, which reads only its stream geometry."""
+    one-row placement table."""
     row = Placement("", layer, in_shape, output_shape(layer, in_shape),
-                    macs(layer, in_shape),
-                    mapper.stream_geometry(layer, in_shape, strategy), None,
-                    residual=False)
+                    macs(layer, in_shape), mapper.stream_taps(layer, in_shape),
+                    mapper.map_layer(layer, strategy), residual=False)
     return fold_schedule((row,), ports, ima, cluster).totals
 
 
@@ -182,7 +182,8 @@ def stream_cycles_ima(stream: JobStream, ports: PortConfig,
     """`layer_cycles_ima` of an enumerated stream's layer; its jobs are not
     walked. Kept for callers that already hold a stream; the benchmark's
     per-layer metrics name this function."""
-    return layer_cycles_ima(stream.layer, stream.strategy, stream.in_shape,
+    alloc = stream.allocation
+    return layer_cycles_ima(alloc.layer, alloc.strategy, stream.in_shape,
                             ports, ima, cluster)
 
 
@@ -253,14 +254,14 @@ def plan_strategy(plan: Plan, layer: LayerDescriptor) -> MappingStrategy | None:
 
 @dataclass(frozen=True, slots=True)
 class Placement:
-    """A layer's row of a placement table; no geometry or allocation: on the cores."""
+    """A layer's row of a placement table; no taps or allocation: on the cores."""
 
     name: str
     layer: LayerDescriptor
     in_shape: TensorShape
     out_shape: TensorShape
     macs: int
-    geometry: mapper.StreamGeometry | None
+    taps: int | None   # T: in-bounds taps summed over output pixels
     allocation: mapper.CrossbarAllocation | None
     residual: bool   # the block's residual add follows this layer
 
@@ -273,13 +274,13 @@ def placements(b: BottleneckDescriptor, plan: Plan) -> tuple[Placement, ...]:
     for i, layer in enumerate(layers):
         out = output_shape(layer, shape)
         strategy = plan_strategy(plan, layer)
-        geo = alloc = None
+        taps = alloc = None
         if strategy is not None:
-            geo = mapper.stream_geometry(layer, shape, strategy)
+            taps = mapper.stream_taps(layer, shape)
             alloc = mapper.map_layer(layer, strategy)
         n_macs = out.height * out.width * params(layer)  # macs(layer, shape)
         rows.append(Placement(f"l{i}.{_KIND_NAMES[type(layer)]}", layer,
-                              shape, out, n_macs, geo, alloc,
+                              shape, out, n_macs, taps, alloc,
                               b.residual and i == len(layers) - 1))
         shape = out
     return tuple(rows)
@@ -305,22 +306,26 @@ def fold_schedules(rows: tuple[Placement, ...], ports: tuple[PortConfig, ...],
     stream beats."""
     op_cycles = array_op_cycles(ima.t_array_ns, cluster.f_hz)
     entries: list = []   # (name, phases); None marks an accelerator row
-    accel = []           # (entry index, name, geometry, compute, config)
+    accel = []           # (entry index, name, T, c_in, width, P, c_out, cols,
+                         #  compute, config)
     comp = cfg = sw = marshal = n_macs = b_in = b_out = n_jobs = 0
     for row in rows:
         n_macs += row.macs
-        geo = row.geometry
-        if geo is None:
+        alloc = row.allocation
+        if alloc is None:
             phases = _sw_phases(row.layer, row.in_shape, row.macs, cluster)
             sw, marshal = sw + phases.sw, marshal + phases.marshal
             entries.append((row.name, phases))
         else:
-            jobs = geo.jobs
+            out, c_in = row.out_shape, row.in_shape.channels
+            pixels, c_out = out.height * out.width, out.channels
+            jobs = pixels * alloc.groups
             c = jobs * op_cycles
             f = ima.cfg_overhead_cycles + jobs * ima.job_handshake_cycles
             comp, cfg, n_jobs = comp + c, cfg + f, n_jobs + jobs
-            b_in, b_out = b_in + geo.bytes_in, b_out + geo.bytes_out
-            accel.append((len(entries), row.name, geo, c, f))
+            b_in, b_out = b_in + row.taps * c_in, b_out + pixels * c_out
+            accel.append((len(entries), row.name, row.taps, c_in, alloc.width,
+                          pixels, c_out, alloc.cols, c, f))
             entries.append(None)
         if row.residual:
             add = residual_add_cycles(row.out_shape, cluster)
@@ -331,9 +336,9 @@ def fold_schedules(rows: tuple[Placement, ...], ports: tuple[PortConfig, ...],
         beat_in = PORT_WIDTH_BYTES * pc.n_load
         beat_out = PORT_WIDTH_BYTES * pc.n_store
         layers, si, so = list(entries), 0, 0
-        for i, name, geo, c, f in accel:
-            s_in = geo.taps * _beats(geo.c_in, geo.width_in, beat_in)
-            s_out = geo.pixels * _beats(geo.c_out, geo.width_out, beat_out)
+        for i, name, taps, c_in, width, pixels, c_out, cols, c, f in accel:
+            s_in = taps * _beats(c_in, width, beat_in)
+            s_out = pixels * _beats(c_out, cols, beat_out)
             si, so = si + s_in, so + s_out
             layers[i] = (name, PhaseBreakdown(s_in, c, s_out, f))
         results.append(ScheduleResult(

@@ -227,9 +227,8 @@ def check_equivalence(layer: LayerDescriptor, strategy: MappingStrategy,
                       inp: QuantTensor, weights,
                       adc: AdcConfig) -> EquivalenceResult:
     """Emulated pipeline vs. direct reference; exact match required (no noise)."""
-    alloc = mapper.map_layer(layer, strategy)
-    arrays = program_allocation(alloc, weights)
     stream = mapper.job_stream(layer, inp.shape, strategy)
+    arrays = program_allocation(stream.allocation, weights)
     got = execute_job_stream(arrays, stream, inp, adc)
     want = reference_conv(layer, inp, weights, adc)
     if np.array_equal(got.data, want.data):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Union
 
 
@@ -337,11 +337,6 @@ def mobilenet_v2_preset(width_multiplier: float = 1.0) -> NetworkDescriptor:
 SCHEMA_VERSION = 1
 _LAYER_TYPES = {"standard": StandardConv, "depthwise": DepthwiseConv,
                 "pointwise": PointwiseConv}
-_TYPE_NAMES = {cls: kind for kind, cls in _LAYER_TYPES.items()}
-
-
-def layer_to_dict(layer: LayerDescriptor) -> dict:
-    return {"type": _TYPE_NAMES[type(layer)], **asdict(layer)}
 
 
 def layer_from_dict(d: dict) -> LayerDescriptor:
@@ -360,26 +355,11 @@ def layer_from_dict(d: dict) -> LayerDescriptor:
     return cls(**{key: value for key, value in d.items() if key != "type"})
 
 
-def bottleneck_to_dict(b: BottleneckDescriptor) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "kind": "bottleneck", **asdict(b)}
-
-
 def bottleneck_from_dict(d: dict) -> BottleneckDescriptor:
     _check_schema(d, "bottleneck",
                   ("c_in", "expansion", "c_out", "height", "width"), ("stride",))
     return BottleneckDescriptor(**{key: value for key, value in d.items()
                                    if key not in ("schema_version", "kind")})
-
-
-def network_to_dict(net: NetworkDescriptor) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "network",
-        "name": net.name,
-        "input_shape": asdict(net.input_shape),
-        "layers": [{"name": nl.name, "layer": layer_to_dict(nl.layer)}
-                   for nl in net.layers],
-    }
 
 
 def network_from_dict(d: dict) -> NetworkDescriptor:

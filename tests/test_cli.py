@@ -1,11 +1,13 @@
 import hashlib
 import json
+import time
 
 import pytest
 
 from imasim import workload as wl
 from imasim.calibration import shipped
 from imasim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from workload_dicts import bottleneck_dict, network_dict
 
 # sha256 of the default `sweep` CSV and of `simulate --ports 4/4 --format json`
 SWEEP_CSV_SHA256 = \
@@ -232,7 +234,7 @@ def test_calibration_override_changes_result(capsys, tmp_path):
 def test_workload_file_round_trip(capsys, tmp_path):
     b = wl.BottleneckDescriptor(16, 6, 16, stride=1, height=16, width=16)
     path = tmp_path / "b.json"
-    path.write_text(json.dumps(wl.bottleneck_to_dict(b)))
+    path.write_text(json.dumps(bottleneck_dict(b)))
     code, out, _ = run(capsys, "simulate", "--workload-file", str(path),
                        "--plan", "ima16", "--ports", "4/4")
     assert code == EXIT_OK
@@ -290,7 +292,7 @@ def assert_one_line_error(err):
     ("height", 32.5), ("width", True), ("c_in", "32"), ("stride", 1.0),
     ("schema_version", True), ("schema_version", 1.0)])
 def test_non_integer_geometry_is_validation_error(capsys, tmp_path, field, value):
-    d = wl.bottleneck_to_dict(wl.default_bottleneck())
+    d = bottleneck_dict(wl.default_bottleneck())
     d[field] = value
     path = tmp_path / "b.json"
     path.write_text(json.dumps(d))
@@ -430,7 +432,7 @@ HUGE_CHANNELS = {
 @pytest.mark.parametrize("case", list(HUGE_CHANNELS))
 def test_huge_channel_counts_run_to_completion(capsys, tmp_path, case):
     changes, csv_sha256, last_line = HUGE_CHANNELS[case]
-    d = wl.bottleneck_to_dict(wl.default_bottleneck())
+    d = bottleneck_dict(wl.default_bottleneck())
     d.update(changes)
     path = tmp_path / "b.json"
     path.write_text(json.dumps(d))
@@ -446,11 +448,24 @@ def test_huge_channel_counts_run_to_completion(capsys, tmp_path, case):
 
 
 def _bottleneck_file(tmp_path, **changes):
-    d = wl.bottleneck_to_dict(wl.default_bottleneck())
+    d = bottleneck_dict(wl.default_bottleneck())
     d.update(changes)
     path = tmp_path / "b.json"
     path.write_text(json.dumps(d))
     return str(path)
+
+
+def test_allocations_list_huge_group_counts_in_one_line(capsys, tmp_path):
+    # 2**65 depthwise regions of c_job 8: one summary line, no row per region
+    path = _bottleneck_file(tmp_path, expansion=2 ** 63)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "--plan", "ima8",
+                         "--workload-file", path, "--allocations")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (EXIT_OK, "")
+    assert elapsed < 1.0
+    assert f"regions g < {2 ** 65} at (g*72, g*8), 72 x 8 cells each" \
+        in out.splitlines()
 
 
 def test_phase_table_widens_to_its_values(capsys, tmp_path):
@@ -495,7 +510,7 @@ def test_throughput_overflow_names_its_operand(capsys, tmp_path, c_in, plan,
 
 
 def _network(**changes):
-    d = wl.network_to_dict(wl.mobilenet_v2_preset())
+    d = network_dict(wl.mobilenet_v2_preset())
     d.update(changes)
     return d
 
@@ -545,7 +560,7 @@ def test_non_list_network_layers_is_validation_error(capsys, tmp_path, layers):
 
 @pytest.mark.parametrize("command,option,content", [
     ("simulate", "--workload-file",
-     {**wl.bottleneck_to_dict(wl.default_bottleneck()), "bogus": 1}),
+     {**bottleneck_dict(wl.default_bottleneck()), "bogus": 1}),
     ("devices", "--network-file", _network(bogus=1)),
     ("devices", "--network-file",
      _network(input_shape={"height": 224, "width": 224, "channels": 3,
@@ -605,7 +620,7 @@ def _without(d, key):
 
 @pytest.mark.parametrize("command,option,content,key", [
     ("simulate", "--workload-file",
-     _without(wl.bottleneck_to_dict(wl.default_bottleneck()), "height"),
+     _without(bottleneck_dict(wl.default_bottleneck()), "height"),
      "height"),
     ("devices", "--network-file", _without(_network(), "layers"), "layers"),
     ("devices", "--network-file",

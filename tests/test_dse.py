@@ -116,12 +116,12 @@ class TestBestBy:
 
 
 def test_sweep_maps_each_plan_once(cal, monkeypatch):
-    """A plan's allocations and stream geometries do not depend on ports,
-    so a sweep builds them once per plan: 3 + 3 + 2 accelerator layers
-    under ima8, ima16 and hybrid, not once per port config."""
+    """A plan's allocations and stream taps do not depend on ports, so a
+    sweep builds them once per plan: 3 + 3 + 2 accelerator layers under
+    ima8, ima16 and hybrid, not once per port config."""
     from imasim import mapper
 
-    calls = {"map_layer": 0, "stream_geometry": 0}
+    calls = {"map_layer": 0, "stream_taps": 0}
 
     def counting(name):
         real = getattr(mapper, name)
@@ -134,7 +134,7 @@ def test_sweep_maps_each_plan_once(cal, monkeypatch):
     for name in calls:
         monkeypatch.setattr(mapper, name, counting(name))
     dse.run_sweep(SweepSpec(workload=default_bottleneck(), calibration=cal))
-    assert calls == {"map_layer": 8, "stream_geometry": 8}
+    assert calls == {"map_layer": 8, "stream_taps": 8}
 
 
 def test_fold_rebuilds_no_shapes(cal, monkeypatch):
@@ -173,5 +173,5 @@ def test_fold_rebuilds_no_shapes(cal, monkeypatch):
     assert len(rows) == 20
     assert folds == len(Plan)  # one fold a plan, for all its port configs
     assert inside["output_shape"] == 0
-    # `mapper.stream_geometry` reads its own reference, which is not counted
+    # `mapper.stream_taps` reads its own reference, which is not counted
     assert inside["all"] == 3 * len(Plan)

@@ -13,26 +13,25 @@ from imasim.workload import (
     StandardConv,
     TensorShape,
 )
-from imasim.xbar import Region
 
 
 class TestDenseMapping:
     def test_standard_conv(self):
         alloc = mapper.map_layer(StandardConv(k=3, c_in=32, c_out=64),
                              mapper.STANDARD_IM2COL)
-        assert alloc.regions == (Region(0, 0, 288, 64),)
+        assert (alloc.groups, alloc.rows, alloc.cols) == (1, 288, 64)
         assert alloc.weights_total == alloc.weights_useful == 18_432
         assert mapper.utilization(alloc) == 1.0
         assert alloc.groups == 1
 
     def test_pointwise(self):
         alloc = mapper.map_layer(PointwiseConv(32, 192), mapper.STANDARD_IM2COL)
-        assert alloc.regions == (Region(0, 0, 32, 192),)
+        assert (alloc.groups, alloc.rows, alloc.cols) == (1, 32, 192)
 
     def test_minimal(self):
         alloc = mapper.map_layer(StandardConv(k=1, c_in=1, c_out=1),
                              mapper.STANDARD_IM2COL)
-        assert alloc.regions == (Region(0, 0, 1, 1),)
+        assert (alloc.groups, alloc.rows, alloc.cols) == (1, 1, 1)
 
 
 class TestDepthwiseMapping:
@@ -64,7 +63,7 @@ class TestDepthwiseMapping:
 
     def test_partial_tail_group_padded_up(self):
         alloc = mapper.map_depthwise(DepthwiseConv(k=3, c=12), 8)
-        assert len(alloc.regions) == 2
+        assert alloc.groups == 2
         # tail group padded to a full 8-column block
         assert alloc.weights_total == 2 * 9 * 8 * 8
         assert alloc.weights_useful == 9 * 12
@@ -134,9 +133,8 @@ class TestJobStream:
         strategy = MappingStrategy(8)
         alloc = mapper.map_layer(layer, strategy)
         stream = mapper.job_stream(layer, TensorShape(6, 6, 12), strategy)
-        rows = alloc.regions[0].rows
         for job in stream.jobs:
-            assert sum(s.length for s in job.segments) == rows
+            assert sum(s.length for s in job.segments) == alloc.rows
 
     def test_jobs_are_built_once(self):
         stream = mapper.job_stream(DepthwiseConv(k=3, c=12, pad=1),
@@ -203,13 +201,12 @@ class TestJobStream:
             next(mapper.gather_inputs(stream, np.zeros((6, 5, 4), np.uint8)))
 
     def test_stream_bytes_excludes_zero_fill(self):
-        geo = mapper.stream_geometry(StandardConv(k=3, c_in=32, c_out=64, pad=1),
-                                     TensorShape(16, 16, 32),
-                                     mapper.STANDARD_IM2COL)
-        assert geo.taps == 46 * 46  # in-bounds taps only, as above
-        assert geo.bytes_in == 46 * 46 * 32
-        assert geo.bytes_out == 256 * 64
-        assert geo.jobs == 256
+        layer = StandardConv(k=3, c_in=32, c_out=64, pad=1)
+        shape = TensorShape(16, 16, 32)
+        stream = mapper.job_stream(layer, shape, mapper.STANDARD_IM2COL)
+        assert mapper.stream_taps(layer, shape) == 46 * 46  # in bounds, as above
+        assert mapper.stream_bytes(stream) == (46 * 46 * 32, 256 * 64)
+        assert stream.allocation.groups == 1  # one job a pixel: 256 jobs
 
 
 def region_weight_matrix_loop(alloc, weights, region_index=0) -> np.ndarray:
@@ -269,7 +266,7 @@ class TestWeightMatrices:
             layer, strategy, _, weights, _ = verify.random_case(rng)
             alloc = mapper.map_layer(layer, strategy)
             blocks = mapper.region_weight_matrix(alloc, weights)
-            assert len(blocks) == len(alloc.regions)
+            assert len(blocks) == alloc.groups
             for g, got in enumerate(blocks):
                 want = region_weight_matrix_loop(alloc, weights, g)
                 assert got.dtype == want.dtype
@@ -313,23 +310,14 @@ def test_device_ratio_is_devices_over_twice_params(c_job, bottlenecks_only):
     assert rep.ratio == rep.devices_total / (2 * n_params)
 
 
-def test_device_count_builds_no_regions(monkeypatch):
-    # counting reads each allocation's group geometry, never its regions
-    def no_region(*args):
-        raise AssertionError("device counting built a Region")
-
-    monkeypatch.setattr(mapper, "Region", no_region)
-    rep = mapper.network_device_count(workload.mobilenet_v2_preset(),
-                                      mapper.uniform_policy(1))
-    assert (rep.devices_total, rep.devices_useful) == (4_379_520, 4_379_520)
-
-
 def test_allocation_is_its_group_geometry():
     alloc = mapper.map_depthwise(DepthwiseConv(k=3, c=12), 8)
     assert [f.name for f in dataclasses.fields(alloc)] == \
         ["layer", "strategy", "groups", "rows", "cols"]
-    assert (alloc.groups, alloc.rows, alloc.cols) == (2, 72, 8)
-    assert alloc.regions == (Region(0, 0, 72, 8), Region(72, 8, 72, 8))
+    assert (alloc.groups, alloc.rows, alloc.cols, alloc.width) == (2, 72, 8, 8)
+    dense = mapper.map_layer(StandardConv(k=3, c_in=5, c_out=7),
+                             mapper.STANDARD_IM2COL)
+    assert (dense.groups, dense.rows, dense.cols, dense.width) == (1, 45, 7, 5)
 
 
 def test_uniform_policy_caps_cjob_at_channel_count():
@@ -364,8 +352,7 @@ def test_strategy_checks_agree(layer, strategy):
     # depthwise layers, and only they, take a c_job, of at most c
     shape = TensorShape(6, 6, 4)
     verdicts = {_accepts(mapper.map_layer, layer, strategy),
-                _accepts(mapper.job_stream, layer, shape, strategy),
-                _accepts(mapper.stream_geometry, layer, shape, strategy)}
+                _accepts(mapper.job_stream, layer, shape, strategy)}
     expect = (isinstance(layer, DepthwiseConv) and strategy.c_job <= 4) \
         if strategy.c_job else not isinstance(layer, DepthwiseConv)
     assert verdicts == {expect}

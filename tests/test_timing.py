@@ -301,13 +301,16 @@ def test_closed_form_matches_enumerated_job_stream(cal, kind):
     for _ in range(40):
         layer, strategy, shape = random_geometry(rng, kind)
         stream = mapper.job_stream(layer, shape, strategy)
-        geo = mapper.stream_geometry(layer, shape, strategy)
+        out = stream.out_shape
+        pixels = out.height * out.width
+        bytes_in = mapper.stream_taps(layer, shape) * shape.channels
         case = f"{layer} {strategy} on {shape}"
-        assert geo.jobs == len(stream.jobs), case
-        assert geo.bytes_in == sum(s.length for job in stream.jobs
-                                   for s in job.segments if not s.zero_fill), case
-        assert geo.bytes_out == sum(job.out_length for job in stream.jobs), case
-        assert mapper.stream_bytes(stream) == (geo.bytes_in, geo.bytes_out)
+        assert pixels * stream.allocation.groups == len(stream.jobs), case
+        assert bytes_in == sum(s.length for job in stream.jobs
+                               for s in job.segments if not s.zero_fill), case
+        assert pixels * out.channels \
+            == sum(job.out_length for job in stream.jobs), case
+        assert mapper.stream_bytes(stream) == (bytes_in, pixels * out.channels)
         for ports in port_pairs:
             got = timing.layer_cycles_ima(layer, strategy, shape, ports,
                                           cal.ima, cal.cluster)
@@ -326,17 +329,26 @@ def group_slices(channels: int, width: int) -> tuple[int, ...]:
     return (width,) * full + ((tail,) if tail else ())
 
 
-def per_group_phases(geo, ports, ima, cluster) -> PhaseBreakdown:
+def group_traffic(layer, strategy, shape):
+    """Oracle: (T, P, input slices, output slices) of a layer, its groups
+    c_job channels wide, or all of them when dense, as the strategy reads."""
+    out = output_shape(layer, shape)
+    return (mapper.stream_taps(layer, shape), out.height * out.width,
+            group_slices(shape.channels, strategy.c_job or shape.channels),
+            group_slices(out.channels, strategy.c_job or out.channels))
+
+
+def per_group_phases(layer, strategy, shape, ports, ima,
+                     cluster) -> PhaseBreakdown:
     """Oracle: sum each group's slice ceilings, one group at a time."""
-    slices_in = group_slices(geo.c_in, geo.width_in)
-    slices_out = group_slices(geo.c_out, geo.width_out)
+    taps, pixels, slices_in, slices_out = group_traffic(layer, strategy, shape)
     beat_in = timing.PORT_WIDTH_BYTES * ports.n_load
     beat_out = timing.PORT_WIDTH_BYTES * ports.n_store
-    n_jobs = geo.pixels * len(slices_in)
+    n_jobs = pixels * len(slices_in)
     return PhaseBreakdown(
-        streamin=geo.taps * sum(-(-r // beat_in) for r in slices_in),
+        streamin=taps * sum(-(-r // beat_in) for r in slices_in),
         compute=n_jobs * array_op_cycles(ima.t_array_ns, cluster.f_hz),
-        streamout=geo.pixels * sum(-(-o // beat_out) for o in slices_out),
+        streamout=pixels * sum(-(-o // beat_out) for o in slices_out),
         config=ima.cfg_overhead_cycles + n_jobs * ima.job_handshake_cycles)
 
 
@@ -367,21 +379,14 @@ def test_closed_form_matches_per_group_sum(cal, kind):
     tails = 0
     for _ in range(60):
         layer, strategy, shape = wide_geometry(rng, kind)
-        geo = mapper.stream_geometry(layer, shape, strategy)
         case = f"{layer} {strategy} on {shape}"
-        slices_in = group_slices(geo.c_in, geo.width_in)
-        tails += slices_in[-1] != geo.width_in
-        # the stream and the allocation agree on the layer's groups
-        assert geo.jobs // geo.pixels == len(slices_in) \
-            == mapper.map_layer(layer, strategy).groups, case
-        assert geo.bytes_in == geo.taps * sum(slices_in), case
-        assert geo.bytes_out == geo.pixels * sum(
-            group_slices(geo.c_out, geo.width_out)), case
+        slices_in = group_traffic(layer, strategy, shape)[2]
+        tails += slices_in[-1] != slices_in[0]
         for ports in port_pairs:
             assert timing.layer_cycles_ima(layer, strategy, shape, ports,
                                            cal.ima, cal.cluster) \
-                == per_group_phases(geo, ports, cal.ima, cal.cluster), \
-                f"{case} at {ports}"
+                == per_group_phases(layer, strategy, shape, ports, cal.ima,
+                                    cal.cluster), f"{case} at {ports}"
     if kind == "depthwise":
         assert tails > 30  # most cases end in a partial group
 
@@ -391,22 +396,19 @@ def test_fold_is_constant_in_the_group_count(cal):
     groups = 2 ** 63
     layer = DepthwiseConv(k=3, c=groups, stride=1, pad=1)
     shape = TensorShape(4, 4, groups)
-    strategy = MappingStrategy(1)
-    geo = mapper.stream_geometry(layer, shape, strategy)
-    assert {f.type for f in dataclasses.fields(mapper.StreamGeometry)} \
-        == {"int"}
-    assert all(type(getattr(geo, f.name)) is int
-               for f in dataclasses.fields(geo))
-    alloc = mapper.map_layer(layer, strategy)
-    assert alloc.groups == geo.jobs // geo.pixels == groups
+    taps = mapper.stream_taps(layer, shape)
+    alloc = mapper.map_layer(layer, MappingStrategy(1))
+    assert (alloc.groups, alloc.width, alloc.cols) == (groups, 1, 1)
+    assert all(type(n) is int
+               for n in (taps, alloc.groups, alloc.rows, alloc.cols))
     row = timing.Placement("l0.depthwise", layer, shape,
                            output_shape(layer, shape), macs(layer, shape),
-                           geo, alloc, residual=False)
+                           taps, alloc, residual=False)
     result = timing.fold_schedule((row,), PortConfig(4, 4), cal.ima,
                                   cal.cluster)
     assert result.ima_jobs == 16 * groups
-    assert result.bytes_streamed_in == geo.taps * groups
-    assert result.totals.streamin == geo.taps * groups  # 1 beat a 1-byte slice
+    assert result.bytes_streamed_in == taps * groups
+    assert result.totals.streamin == taps * groups  # 1 beat a 1-byte slice
 
 
 def test_schedule_builds_no_job_streams(cal, monkeypatch):
@@ -419,16 +421,15 @@ def test_schedule_builds_no_job_streams(cal, monkeypatch):
                                    cal.ima, cal.cluster)
 
 
-def test_schedule_builds_one_stream_geometry_per_accelerator_layer(
-        cal, monkeypatch):
+def test_schedule_counts_taps_once_per_accelerator_layer(cal, monkeypatch):
     calls = []
-    real = mapper.stream_geometry
+    real = mapper.stream_taps
 
-    def counted(layer, in_shape, strategy):
+    def counted(layer, in_shape):
         calls.append(layer)
-        return real(layer, in_shape, strategy)
+        return real(layer, in_shape)
 
-    monkeypatch.setattr(mapper, "stream_geometry", counted)
+    monkeypatch.setattr(mapper, "stream_taps", counted)
     b = default_bottleneck()
     for plan in Plan:
         calls.clear()
@@ -461,12 +462,14 @@ def oracle_schedule(b, plan, ports, ima, cluster):
         if strategy is None:
             entries.append((name, timing.layer_cycles_sw(layer, shape, cluster)))
         else:
-            geo = mapper.stream_geometry(layer, shape, strategy)
+            taps, pixels, slices_in, slices_out = \
+                group_traffic(layer, strategy, shape)
             # not `layer_cycles_ima`, which is the fold of a one-row table
-            entries.append((name, per_group_phases(geo, ports, ima, cluster)))
-            bytes_in += geo.bytes_in
-            bytes_out += geo.bytes_out
-            n_jobs += geo.jobs
+            entries.append((name, per_group_phases(layer, strategy, shape,
+                                                   ports, ima, cluster)))
+            bytes_in += taps * sum(slices_in)
+            bytes_out += pixels * sum(slices_out)
+            n_jobs += pixels * len(slices_in)
         total_macs += macs(layer, shape)
         shape = output_shape(layer, shape)
     if b.residual:

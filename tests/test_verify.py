@@ -226,7 +226,7 @@ def test_emulated_block_takes_one_adc_call(monkeypatch):
     adc = AdcConfig(tuple(rng.uniform(0.01, 0.1, size=11)))
     strategy = mapper.MappingStrategy(4)
     alloc = mapper.map_layer(layer, strategy)
-    assert len(alloc.regions) == 3
+    assert alloc.groups == 3
     stream = mapper.job_stream(layer, inp.shape, strategy)
     want = reference_conv(layer, inp, w, adc)
     # 12 output pixels, 3 regions of 36 rows
@@ -411,7 +411,7 @@ def test_stacked_emulation_matches_per_group_path(monkeypatch):
         alloc = mapper.map_layer(layer, strategy)
         stream = mapper.job_stream(layer, inp.shape, strategy)
         region_inputs = _job_inputs(stream, inp)
-        groups, (pixels, rows) = len(alloc.regions), region_inputs[0].shape
+        groups, (pixels, rows) = alloc.groups, region_inputs[0].shape
         for budget in (300, 2**20):
             monkeypatch.setattr(xbar, "_STACK_FLOATS", budget)
             splits, fit = block_shape(pixels, rows, alloc.cols, budget)

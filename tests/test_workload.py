@@ -13,6 +13,7 @@ from imasim.workload import (
     StandardConv,
     TensorShape,
 )
+from workload_dicts import bottleneck_dict, layer_dict, network_dict
 
 
 def depthwise_param_share(net: wl.NetworkDescriptor) -> float:
@@ -164,45 +165,45 @@ class TestSerialization:
         PointwiseConv(32, 192),
     ])
     def test_layer_round_trip(self, layer):
-        assert wl.layer_from_dict(wl.layer_to_dict(layer)) == layer
+        assert wl.layer_from_dict(layer_dict(layer)) == layer
 
     def test_bottleneck_round_trip(self):
         b = wl.default_bottleneck()
-        assert wl.bottleneck_from_dict(wl.bottleneck_to_dict(b)) == b
+        assert wl.bottleneck_from_dict(bottleneck_dict(b)) == b
 
     def test_network_round_trip(self):
         net = wl.mobilenet_v2_preset()
-        assert wl.network_from_dict(wl.network_to_dict(net)) == net
+        assert wl.network_from_dict(network_dict(net)) == net
 
     def test_dict_key_order_is_fixed(self):
         # files written from these dicts keep the documented key order
-        assert list(wl.layer_to_dict(StandardConv(3, 3, 32, 2, 1))) == \
+        assert list(layer_dict(StandardConv(3, 3, 32, 2, 1))) == \
             ["type", "k", "c_in", "c_out", "stride", "pad"]
-        assert list(wl.layer_to_dict(DepthwiseConv(3, 8, pad=1))) == \
+        assert list(layer_dict(DepthwiseConv(3, 8, pad=1))) == \
             ["type", "k", "c", "stride", "pad"]
-        assert list(wl.layer_to_dict(PointwiseConv(4, 5))) == \
+        assert list(layer_dict(PointwiseConv(4, 5))) == \
             ["type", "c_in", "c_out"]
-        assert list(wl.bottleneck_to_dict(wl.default_bottleneck())) == \
+        assert list(bottleneck_dict(wl.default_bottleneck())) == \
             ["schema_version", "kind", "c_in", "expansion", "c_out", "stride",
              "height", "width"]
-        text = json.dumps(wl.network_to_dict(wl.mobilenet_v2_preset()))
+        text = json.dumps(network_dict(wl.mobilenet_v2_preset()))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "a06d8a2cf81cb87b2fd54aed8aa7cb2f4b07a1d655a8198b841e6e9c6e39f51a"
 
     def test_load_workload_file(self, tmp_path):
         path = tmp_path / "b.json"
         b = wl.default_bottleneck()
-        path.write_text(json.dumps(wl.bottleneck_to_dict(b)))
+        path.write_text(json.dumps(bottleneck_dict(b)))
         assert wl.load_workload(str(path)) == b
 
     def test_bad_schema_version_rejected(self):
         # true and 1.0 compare equal to 1 but are not the integer version
         for version in (99, True, 1.0):
-            d = wl.bottleneck_to_dict(wl.default_bottleneck())
+            d = bottleneck_dict(wl.default_bottleneck())
             d["schema_version"] = version
             with pytest.raises(ValueError, match="schema_version"):
                 wl.bottleneck_from_dict(d)
-            d = wl.network_to_dict(wl.mobilenet_v2_preset())
+            d = network_dict(wl.mobilenet_v2_preset())
             d["schema_version"] = version
             with pytest.raises(ValueError, match="schema_version"):
                 wl.network_from_dict(d)
